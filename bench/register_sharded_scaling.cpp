@@ -1,10 +1,10 @@
 // Micro-bench P4 — sharded multi-core stepping: the same dense workloads the
-// engine_backends scenario steps single-threaded, resolved by the
-// ShardedBitEngine at 1/2/4/8 workers, against a single-thread BitEngine
-// reference.  Families:
+// engine_backends scenario steps single-threaded, resolved by the word-range
+// engine as `sharded` at 1/2/4/8 workers, against the one-worker `bit`
+// engine as the reference.  Families:
 //  - sharded_step/clique/tN: everyone transmits (all-collide worst case);
 //    the acceptance row — at n >= 16384 and 4 threads the sharded backend
-//    must be >= 2x faster than BitEngine, asserted only when the host has
+//    must be >= 2x faster than `bit`, asserted only when the host has
 //    >= 4 hardware threads (the gate is meaningless on smaller machines;
 //    the measured speedup is always recorded).
 //  - sharded_scaling/gnp/tN: rotating transmitter slices on a dense gnp
@@ -109,7 +109,7 @@ void run(Context& ctx) {
 
 const bool registered = register_scenario(
     {"sharded_scaling",
-     "ShardedBitEngine thread scaling vs single-thread BitEngine",
+     "sharded word-range engine thread scaling vs the one-worker bit engine",
      {"micro", "scaling"},
      &run});
 

@@ -107,9 +107,10 @@ void run(Context& ctx) {
   }
 
   // Regression guard for the bit backend's sparse-round cost: the once /
-  // twice accumulators are engine-owned scratch initialized by the first
-  // transmitter row, so a single-transmitter round must stay O(n/64) words
-  // — per-word cost flat as rows grow 4x (generous 16x slack + a 1µs
+  // twice accumulators are engine-owned scratch kept all-zero between
+  // rounds, and a path row scatters its CSR neighbours instead of folding
+  // a dense slice, so a single-transmitter round must stay within O(n/64)
+  // words — per-word cost flat as rows grow 4x (generous 16x slack + a 1µs
   // absolute floor against timer noise).  A reintroduced per-round O(n)
   // allocation or superlinear pass trips this.
   {

@@ -490,6 +490,9 @@ CompiledArbRunner::CompiledArbRunner(const Graph& g,
   bool phase3_scheduled = false;
   std::uint64_t phase2_start = 0, phase3_start = 0, source_ack_round = 0;
 
+  // Engine-level first-kData accounting, as in the B_ack predictor.
+  std::vector<std::uint64_t> engine_first_data(n, 0);
+
   RoundAgenda agenda(max_rounds);
   ExecutionBuilder builder;
   sim::RoundResolution res;
@@ -625,12 +628,24 @@ CompiledArbRunner::CompiledArbRunner(const Graph& g,
 
     backend_->resolve(tx, /*want_collisions=*/false, res);
     for (const auto& [w, tx_index] : res.deliveries) {
-      hear(w, builder.message_at(tx_index), r);
+      const Message& m = builder.message_at(tx_index);
+      if (m.kind == MsgKind::kData && engine_first_data[w] == 0) {
+        engine_first_data[w] = r;
+      }
+      hear(w, m, r);
     }
     if (count_mu == n && count_done == n) break;  // run_arbitrary predicate
   }
 
   prediction_.total_rounds = builder.exec.rounds;
+  for (const auto r : engine_first_data) {
+    prediction_.completion_round = std::max(prediction_.completion_round, r);
+  }
+  for (const auto& m : builder.exec.messages) {
+    if (m.stamp) {
+      prediction_.max_stamp = std::max(prediction_.max_stamp, *m.stamp);
+    }
+  }
   // Mirror run_arbitrary's verdict loop field for field.
   bool ok = true;
   std::uint64_t done = 0;

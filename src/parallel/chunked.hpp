@@ -7,7 +7,7 @@
 /// per-chunk slots or per-chunk local vectors concatenated in chunk order,
 /// so the combined output is byte-identical to a sequential left-to-right
 /// loop at any thread count — the same determinism contract
-/// `ShardedBitEngine` honors for round resolution.
+/// `sim::WordRangeEngine` honors for round resolution.
 #pragma once
 
 #include <algorithm>

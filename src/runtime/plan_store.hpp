@@ -49,7 +49,9 @@ struct PlanStoreStats {
 /// mutex only guards the stats and the temp-name counter).
 class PlanStore {
  public:
-  static constexpr std::uint32_t kFormatVersion = 1;
+  /// 2: compiled B_arb results carry completion_round and max_stamp
+  /// (version-1 records hold zeros there).
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   /// Opens (creating if needed) the store directory.  An unusable path
   /// violates a precondition.  Temp files left behind by a writer that

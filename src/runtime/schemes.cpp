@@ -832,8 +832,10 @@ CompiledPlanPtr ArbScheme::compile(const Graph& g, NodeId source,
   r.ok = p.ok;
   r.all_informed = p.ok;
   r.rounds = p.total_rounds;
+  r.completion_round = p.completion_round;
   r.done_round = p.done_round;
   r.T = p.T;
+  r.max_stamp = p.max_stamp;
   r.special = labeling.coordinator;
   r.label_bits = 3;
   r.tx_total = runner.execution().transmitters.size();

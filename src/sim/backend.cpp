@@ -4,6 +4,7 @@
 #include <bit>
 #include <thread>
 
+#include "graph/bit_adjacency.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace radiocast::sim {
@@ -79,87 +80,7 @@ void ScalarEngine::resolve(std::span<const NodeId> transmitters,
 }
 
 // ---------------------------------------------------------------------------
-// BitEngine
-
-BitEngine::BitEngine(const graph::Graph& g)
-    : kernels_(&simd::active_kernels()), adj_(g) {
-  words_ = adj_.words_per_row();
-  once_.assign(words_, 0);
-  twice_.assign(words_, 0);
-  tx_mask_.assign(words_, 0);
-  heard_.assign(words_, 0);
-  unique_tx_index_.assign(g.node_count(), 0);
-}
-
-void BitEngine::resolve(std::span<const NodeId> transmitters,
-                        bool want_collisions, RoundResolution& out) {
-  out.clear();
-  if (transmitters.empty()) return;
-
-  // Saturating two-counter accumulation: after all rows are folded in,
-  // once = ">= 1 transmitting neighbour", twice = ">= 2".  The first row
-  // initializes the engine-owned accumulators directly, and tx_mask_ is
-  // all-zero on entry (restored transmitter-by-transmitter on exit), so a
-  // round pays no separate O(n)-bit zeroing passes.  The word loops are the
-  // dispatched simd kernels; bit extraction below stays scalar (it is
-  // bit-scan bound, not word bound).
-  kernels_->accumulate_first(once_.data(), twice_.data(),
-                             adj_.row(transmitters[0]).data(), words_);
-  for (std::size_t i = 1; i < transmitters.size(); ++i) {
-    kernels_->accumulate(once_.data(), twice_.data(),
-                         adj_.row(transmitters[i]).data(), words_);
-  }
-  for (const NodeId t : transmitters) {
-    tx_mask_[t >> 6] |= std::uint64_t{1} << (t & 63);
-  }
-
-  const std::uint64_t any_heard = kernels_->heard_sweep(
-      heard_.data(), once_.data(), twice_.data(), tx_mask_.data(), words_);
-
-  if (any_heard != 0) {
-    // Attribute each heard listener to its unique transmitter.  Every heard
-    // bit lies in exactly one transmitter's row, so this writes each slot
-    // once.  All-collision rounds skip both passes entirely.
-    for (std::uint32_t i = 0; i < transmitters.size(); ++i) {
-      const auto row = adj_.row(transmitters[i]);
-      for (std::size_t w = 0; w < words_; ++w) {
-        std::uint64_t hits = row[w] & heard_[w];
-        while (hits) {
-          const auto b = static_cast<std::uint32_t>(std::countr_zero(hits));
-          hits &= hits - 1;
-          unique_tx_index_[(w << 6) + b] = i;
-        }
-      }
-    }
-
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t h = heard_[w];
-      while (h) {
-        const auto b = static_cast<std::uint32_t>(std::countr_zero(h));
-        h &= h - 1;
-        const auto listener = static_cast<NodeId>((w << 6) + b);
-        out.deliveries.emplace_back(listener, unique_tx_index_[listener]);
-      }
-    }
-  }
-
-  if (want_collisions) {
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t c = twice_[w] & ~tx_mask_[w];
-      while (c) {
-        const auto b = static_cast<std::uint32_t>(std::countr_zero(c));
-        c &= c - 1;
-        out.collisions.push_back(static_cast<NodeId>((w << 6) + b));
-      }
-    }
-  }
-
-  // Restore the tx_mask_ all-zero invariant for the next round.
-  for (const NodeId t : transmitters) tx_mask_[t >> 6] = 0;
-}
-
-// ---------------------------------------------------------------------------
-// ShardedBitEngine
+// WordRangeEngine
 
 namespace {
 
@@ -167,137 +88,22 @@ namespace {
 /// no two workers store to the same line of the shared accumulators.
 constexpr std::size_t kLineWords = 8;
 
+/// Dense slice budget in words; arena offsets are 32-bit below kNoSlice.
+constexpr std::size_t kBudgetWords =
+    kDenseSliceBudgetBytes / sizeof(std::uint64_t);
+static_assert(kBudgetWords < ~std::uint32_t{0});
+
 }  // namespace
 
-ShardedBitEngine::ShardedBitEngine(const graph::Graph& g, std::size_t threads)
-    : kernels_(&simd::active_kernels()),
-      adj_(g),
-      words_(adj_.words_per_row()),
-      pool_(resolve_thread_count(threads)) {
-  once_.assign(words_, 0);
-  twice_.assign(words_, 0);
-  tx_mask_.assign(words_, 0);
-  heard_.assign(words_, 0);
-  unique_tx_index_.assign(g.node_count(), 0);
-
-  // One shard per worker, each a cache-line-aligned word range; tiny rows
-  // collapse to fewer (possibly one) shards rather than sub-line slivers.
-  const std::size_t lines = (words_ + kLineWords - 1) / kLineWords;
-  const std::size_t target =
-      std::max<std::size_t>(1, std::min(pool_.thread_count(), lines));
-  std::size_t chunk = (words_ + target - 1) / target;
-  chunk = ((chunk + kLineWords - 1) / kLineWords) * kLineWords;
-  for (std::size_t w = 0; w < words_; w += chunk) {
-    Shard s;
-    s.begin_word = w;
-    s.end_word = std::min(words_, w + chunk);
-    shards_.push_back(std::move(s));
-  }
-}
-
-void ShardedBitEngine::resolve_shard(Shard& shard,
-                                     std::span<const NodeId> transmitters,
-                                     bool want_collisions) {
-  const std::size_t w0 = shard.begin_word;
-  const std::size_t w1 = shard.end_word;
-  const std::size_t width = w1 - w0;
-  shard.local.clear();
-
-  // Same kernel entry points as the dense BitEngine, offset to this shard's
-  // word window (the kernels take arbitrary 8-byte-aligned sub-ranges).
-  kernels_->accumulate_first(once_.data() + w0, twice_.data() + w0,
-                             adj_.row(transmitters[0]).data() + w0, width);
-  for (std::size_t i = 1; i < transmitters.size(); ++i) {
-    kernels_->accumulate(once_.data() + w0, twice_.data() + w0,
-                         adj_.row(transmitters[i]).data() + w0, width);
-  }
-
-  const std::uint64_t any_heard =
-      kernels_->heard_sweep(heard_.data() + w0, once_.data() + w0,
-                            twice_.data() + w0, tx_mask_.data() + w0, width);
-
-  if (any_heard != 0) {
-    for (std::uint32_t i = 0; i < transmitters.size(); ++i) {
-      const auto row = adj_.row(transmitters[i]);
-      for (std::size_t w = w0; w < w1; ++w) {
-        std::uint64_t hits = row[w] & heard_[w];
-        while (hits) {
-          const auto b = static_cast<std::uint32_t>(std::countr_zero(hits));
-          hits &= hits - 1;
-          unique_tx_index_[(w << 6) + b] = i;
-        }
-      }
-    }
-    for (std::size_t w = w0; w < w1; ++w) {
-      std::uint64_t h = heard_[w];
-      while (h) {
-        const auto b = static_cast<std::uint32_t>(std::countr_zero(h));
-        h &= h - 1;
-        const auto listener = static_cast<NodeId>((w << 6) + b);
-        shard.local.deliveries.emplace_back(listener,
-                                            unique_tx_index_[listener]);
-      }
-    }
-  }
-
-  if (want_collisions) {
-    for (std::size_t w = w0; w < w1; ++w) {
-      std::uint64_t c = twice_[w] & ~tx_mask_[w];
-      while (c) {
-        const auto b = static_cast<std::uint32_t>(std::countr_zero(c));
-        c &= c - 1;
-        shard.local.collisions.push_back(static_cast<NodeId>((w << 6) + b));
-      }
-    }
-  }
-}
-
-void ShardedBitEngine::resolve(std::span<const NodeId> transmitters,
-                               bool want_collisions, RoundResolution& out) {
-  out.clear();
-  if (transmitters.empty()) return;
-
-  for (const NodeId t : transmitters) {
-    tx_mask_[t >> 6] |= std::uint64_t{1} << (t & 63);
-  }
-
-  // Shards read shared state (rows, tx_mask_) and write disjoint word
-  // ranges of the accumulators plus their own local buffers; the
-  // parallel_for completion is the round barrier.  Small rounds run the
-  // same shard code inline — identical results, no pool round trip.
-  const bool inline_round =
-      shards_.size() <= 1 ||
-      transmitters.size() * words_ < kShardedInlineCutoffWords;
-  if (inline_round) {
-    for (auto& shard : shards_) {
-      resolve_shard(shard, transmitters, want_collisions);
-    }
-  } else {
-    par::parallel_for(pool_, shards_.size(), [&](std::size_t i) {
-      resolve_shard(shards_[i], transmitters, want_collisions);
-    });
-  }
-
-  // Deterministic reduction: concatenate in shard (= ascending word-range)
-  // order, which is ascending listener order globally.
-  for (const auto& shard : shards_) {
-    out.deliveries.insert(out.deliveries.end(), shard.local.deliveries.begin(),
-                          shard.local.deliveries.end());
-    out.collisions.insert(out.collisions.end(), shard.local.collisions.begin(),
-                          shard.local.collisions.end());
-  }
-
-  for (const NodeId t : transmitters) tx_mask_[t >> 6] = 0;
-}
-
-// ---------------------------------------------------------------------------
-// HybridEngine
-
-HybridEngine::HybridEngine(const graph::Graph& g, std::size_t threads)
+WordRangeEngine::WordRangeEngine(const graph::Graph& g, BackendKind kind,
+                                 std::size_t threads)
     : kernels_(&simd::active_kernels()),
       graph_(g),
-      words_(graph::BitAdjacency::words_for(g.node_count())),
-      pool_(resolve_thread_count(threads)) {
+      kind_(kind),
+      workers_(kind == BackendKind::kBit ? 1 : resolve_thread_count(threads)),
+      words_(graph::BitAdjacency::words_for(g.node_count())) {
+  RC_EXPECTS(kind == BackendKind::kBit || kind == BackendKind::kSharded ||
+             kind == BackendKind::kHybrid);
   const auto n = g.node_count();
   once_.assign(words_, 0);
   twice_.assign(words_, 0);
@@ -305,12 +111,11 @@ HybridEngine::HybridEngine(const graph::Graph& g, std::size_t threads)
   heard_.assign(words_, 0);
   unique_tx_index_.assign(n, 0);
 
-  // Two shards per worker (load balance against transmitter clustering),
-  // cache-line aligned so no two workers store to the same 64-byte line of
-  // the shared accumulators.  Shards are contiguous and cover every word.
+  // One shard per worker, each a cache-line-aligned word range; tiny rows
+  // collapse to fewer (possibly one) shards rather than sub-line slivers.
   const std::size_t lines = (words_ + kLineWords - 1) / kLineWords;
   const std::size_t target =
-      std::max<std::size_t>(1, std::min(pool_.thread_count() * 2, lines));
+      std::max<std::size_t>(1, std::min(workers_, lines));
   std::size_t chunk = (words_ + target - 1) / target;
   chunk = ((chunk + kLineWords - 1) / kLineWords) * kLineWords;
   for (std::size_t w = 0; w < words_; w += chunk) {
@@ -318,87 +123,116 @@ HybridEngine::HybridEngine(const graph::Graph& g, std::size_t threads)
     s.begin_word = w;
     s.end_word = std::min(words_, w + chunk);
     s.begin_node = static_cast<NodeId>(s.begin_word * 64);
-    s.end_node = static_cast<NodeId>(
-        std::min<std::size_t>(n, s.end_word * 64));
+    s.end_node =
+        static_cast<NodeId>(std::min<std::size_t>(n, s.end_word * 64));
     shards_.push_back(std::move(s));
   }
+  const std::size_t shard_count = shards_.size();
+  if (shard_count > 1) pool_ = std::make_unique<par::ThreadPool>(shard_count);
 
-  // Dense (row, shard) slices in deterministic (row asc, shard asc) greedy
-  // order under the global budget: a slice pays once the row's neighbour
-  // count inside the shard clears kHybridDenseNeighborsPerWord per word.
-  // Admission pass: record ids and arena offsets only, so all slices land
-  // packed in one huge-page-advised arena instead of per-shard vectors.
-  std::size_t budget_words = kHybridDenseBudgetBytes / sizeof(std::uint64_t);
+  // End of shard s's part of the sorted neighbour range [from, end); the
+  // last shard ends at n, so it needs no search.
+  const auto shard_end = [&](const NodeId* from, const NodeId* end,
+                             std::size_t s) {
+    return s + 1 == shard_count
+               ? end
+               : std::lower_bound(from, end, shards_[s].end_node);
+  };
+
+  // Admission: (row asc, shard asc) greedy under the global budget; a slice
+  // pays once the row has a neighbour inside the shard per
+  // kDenseWordsPerNeighbor words.  Offsets are handed out in admission
+  // order, so the arena is laid out row-major.
+  std::size_t budget_words = kBudgetWords;
+  std::size_t arena_words = 0;
+  std::vector<std::uint32_t> offsets(shard_count);
   for (NodeId v = 0; v < n && budget_words > 0; ++v) {
     const auto nb = g.neighbors(v);
-    auto it = nb.begin();
-    for (auto& s : shards_) {
-      if (it == nb.end() || budget_words == 0) break;
-      const auto hi = std::lower_bound(it, nb.end(), s.end_node);
-      const auto count = static_cast<std::size_t>(hi - it);
-      const std::size_t width = s.end_word - s.begin_word;
-      if (count >= kHybridDenseNeighborsPerWord * width &&
-          width <= budget_words) {
-        s.dense_ids.push_back(v);
-        s.dense_offsets.push_back(dense_words_);
+    const NodeId* p = nb.data();
+    bool any = false;
+    for (std::size_t s = 0; s < shard_count; ++s) {
+      const NodeId* hi = shard_end(p, nb.data() + nb.size(), s);
+      const auto count = static_cast<std::size_t>(hi - p);
+      const std::size_t width = shards_[s].end_word - shards_[s].begin_word;
+      offsets[s] = kNoSlice;
+      if (width <= kDenseWordsPerNeighbor * count && width <= budget_words) {
+        offsets[s] = static_cast<std::uint32_t>(arena_words);
         budget_words -= width;
-        dense_words_ += width;
+        arena_words += width;
+        any = true;
       }
-      it = hi;
+      p = hi;
     }
+    if (!any) continue;
+    if (dense_row_.empty()) dense_row_.assign(n, kNoSlice);
+    dense_row_[v] =
+        static_cast<std::uint32_t>(slice_offset_.size() / shard_count);
+    slice_offset_.insert(slice_offset_.end(), offsets.begin(), offsets.end());
   }
 
-  // Fill pass: one zero-initialized arena allocation, each admitted slice
-  // rebuilt from the row's CSR range inside its shard's node window.
-  dense_arena_ = support::HugeWords(dense_words_);
-  for (auto& s : shards_) {
-    for (std::size_t i = 0; i < s.dense_ids.size(); ++i) {
-      const auto nb = g.neighbors(s.dense_ids[i]);
-      const auto lo = std::lower_bound(nb.begin(), nb.end(), s.begin_node);
-      const auto hi = std::lower_bound(lo, nb.end(), s.end_node);
-      auto* slice = dense_arena_.data() + s.dense_offsets[i];
-      for (auto p = lo; p != hi; ++p) {
-        slice[(*p >> 6) - s.begin_word] |= std::uint64_t{1} << (*p & 63);
+  // Fill: one zero-initialized arena, written row-major in a single pass
+  // over each dense row's CSR neighbours.
+  dense_arena_ = support::HugeWords(arena_words);
+  for (NodeId v = 0; v < n && !dense_row_.empty(); ++v) {
+    if (dense_row_[v] == kNoSlice) continue;
+    const auto* row_offsets = &slice_offset_[dense_row_[v] * shard_count];
+    const auto nb = g.neighbors(v);
+    const NodeId* p = nb.data();
+    for (std::size_t s = 0; s < shard_count; ++s) {
+      const NodeId* hi = shard_end(p, nb.data() + nb.size(), s);
+      if (row_offsets[s] != kNoSlice) {
+        std::uint64_t* slice = dense_arena_.data() + row_offsets[s];
+        const std::size_t w0 = shards_[s].begin_word;
+        for (; p != hi; ++p) {
+          slice[(*p >> 6) - w0] |= std::uint64_t{1} << (*p & 63);
+        }
       }
+      p = hi;
     }
   }
 }
 
-void HybridEngine::resolve_shard(Shard& shard,
-                                 std::span<const NodeId> transmitters,
-                                 bool want_collisions) {
-  shard.local.clear();
+const std::uint64_t* WordRangeEngine::dense_slice(NodeId v,
+                                                  std::size_t s) const {
+  if (dense_row_.empty() || dense_row_[v] == kNoSlice) return nullptr;
+  const std::uint32_t offset =
+      slice_offset_[dense_row_[v] * shards_.size() + s];
+  return offset == kNoSlice ? nullptr : dense_arena_.data() + offset;
+}
+
+void WordRangeEngine::resolve_shard(std::size_t s,
+                                    std::span<const NodeId> transmitters,
+                                    bool want_collisions,
+                                    RoundResolution& out) {
+  Shard& shard = shards_[s];
+  const std::size_t w0 = shard.begin_word;
+  const std::size_t width = shard.end_word - w0;
+  const bool whole_graph = shards_.size() == 1;
   shard.touched.clear();
   shard.round_dense.clear();
-  shard.whole_range = false;
+  bool whole_range = false;
 
   // Accumulate.  Saturating per-bit semantics match the once/twice word
   // fold exactly, so mixing dense slices and scalar scatter is
   // order-independent: once = ">= 1 transmitting neighbour", twice = ">= 2".
-  // Dense slices go through the same simd kernel entry points as the
-  // dense/sharded backends (the accumulators are all-zero between rounds,
-  // so the generic fold doubles as the first-row case); per-bit scatter
-  // stays scalar — it is bit-addressed, not word-addressed.
+  // The accumulators are all-zero between rounds, so the generic fold
+  // doubles as the first-row case; per-bit scatter stays scalar — it is
+  // bit-addressed, not word-addressed.
   for (std::uint32_t i = 0; i < transmitters.size(); ++i) {
     const NodeId t = transmitters[i];
-    if (!shard.dense_ids.empty()) {
-      const auto it = std::lower_bound(shard.dense_ids.begin(),
-                                       shard.dense_ids.end(), t);
-      if (it != shard.dense_ids.end() && *it == t) {
-        const auto* row =
-            dense_arena_.data() +
-            shard.dense_offsets[it - shard.dense_ids.begin()];
-        kernels_->accumulate(once_.data() + shard.begin_word,
-                             twice_.data() + shard.begin_word, row,
-                             shard.end_word - shard.begin_word);
-        shard.round_dense.emplace_back(i, row);
-        shard.whole_range = true;
-        continue;
-      }
+    if (const auto* slice = dense_slice(t, s)) {
+      kernels_->accumulate(once_.data() + w0, twice_.data() + w0, slice, width);
+      shard.round_dense.emplace_back(i, slice);
+      whole_range = true;
+      continue;
     }
     const auto nb = graph_.neighbors(t);
-    const auto lo = std::lower_bound(nb.begin(), nb.end(), shard.begin_node);
-    const auto hi = std::lower_bound(lo, nb.end(), shard.end_node);
+    auto lo = nb.begin();
+    auto hi = nb.end();
+    if (!whole_graph) {
+      lo = std::lower_bound(lo, hi, shard.begin_node);
+      hi = std::lower_bound(lo, hi, shard.end_node);
+    }
     for (auto p = lo; p != hi; ++p) {
       const NodeId w = *p;
       const std::size_t word = w >> 6;
@@ -409,9 +243,7 @@ void HybridEngine::resolve_shard(Shard& shard,
         // First touch of the bit attributes it; first touch of the word
         // records it for extraction/clearing (once bits never clear within
         // a round, so word == 0 means genuinely untouched).
-        if (once_[word] == 0 && !shard.whole_range) {
-          shard.touched.push_back(word);
-        }
+        if (once_[word] == 0 && !whole_range) shard.touched.push_back(word);
         once_[word] |= bit;
         unique_tx_index_[w] = i;
       }
@@ -420,63 +252,61 @@ void HybridEngine::resolve_shard(Shard& shard,
 
   // Finalize heard bits, then attribute dense-row deliveries (a heard
   // listener has exactly one transmitting neighbour, so at most one dense
-  // row hits it and scalar-recorded indices are never overwritten).
-  std::sort(shard.touched.begin(), shard.touched.end());
-  auto for_each_word = [&](auto&& body) {
-    if (shard.whole_range) {
-      for (std::size_t w = shard.begin_word; w < shard.end_word; ++w) body(w);
-    } else {
-      for (const std::size_t w : shard.touched) body(w);
-    }
-  };
-  if (shard.whole_range) {
-    kernels_->heard_sweep(heard_.data() + shard.begin_word,
-                          once_.data() + shard.begin_word,
-                          twice_.data() + shard.begin_word,
-                          tx_mask_.data() + shard.begin_word,
-                          shard.end_word - shard.begin_word);
+  // row hits it and scatter-recorded indices are never overwritten).
+  std::uint64_t any_heard = 0;
+  if (whole_range) {
+    any_heard =
+        kernels_->heard_sweep(heard_.data() + w0, once_.data() + w0,
+                              twice_.data() + w0, tx_mask_.data() + w0, width);
   } else {
+    std::sort(shard.touched.begin(), shard.touched.end());
     for (const std::size_t w : shard.touched) {
       heard_[w] = once_[w] & ~twice_[w] & ~tx_mask_[w];
     }
   }
-  for (const auto& [index, row] : shard.round_dense) {
-    for (std::size_t w = shard.begin_word; w < shard.end_word; ++w) {
-      std::uint64_t hits = row[w - shard.begin_word] & heard_[w];
-      while (hits) {
-        const auto b = static_cast<std::uint32_t>(std::countr_zero(hits));
-        hits &= hits - 1;
-        unique_tx_index_[(w << 6) + b] = index;
+  if (any_heard != 0) {
+    for (const auto& [index, slice] : shard.round_dense) {
+      for (std::size_t w = 0; w < width; ++w) {
+        std::uint64_t hits = slice[w] & heard_[w0 + w];
+        while (hits) {
+          const auto b = static_cast<std::uint32_t>(std::countr_zero(hits));
+          hits &= hits - 1;
+          unique_tx_index_[((w0 + w) << 6) + b] = index;
+        }
       }
     }
   }
 
   // Extract in ascending word order and restore the all-zero accumulator
   // invariant for the next round, touching only this round's footprint.
-  for_each_word([&](std::size_t w) {
+  const auto extract = [&](std::size_t w) {
     std::uint64_t h = heard_[w];
     while (h) {
       const auto b = static_cast<std::uint32_t>(std::countr_zero(h));
       h &= h - 1;
       const auto listener = static_cast<NodeId>((w << 6) + b);
-      shard.local.deliveries.emplace_back(listener,
-                                          unique_tx_index_[listener]);
+      out.deliveries.emplace_back(listener, unique_tx_index_[listener]);
     }
     if (want_collisions) {
       std::uint64_t c = twice_[w] & ~tx_mask_[w];
       while (c) {
         const auto b = static_cast<std::uint32_t>(std::countr_zero(c));
         c &= c - 1;
-        shard.local.collisions.push_back(static_cast<NodeId>((w << 6) + b));
+        out.collisions.push_back(static_cast<NodeId>((w << 6) + b));
       }
     }
     once_[w] = 0;
     twice_[w] = 0;
-  });
+  };
+  if (whole_range) {
+    for (std::size_t w = w0; w < shard.end_word; ++w) extract(w);
+  } else {
+    for (const std::size_t w : shard.touched) extract(w);
+  }
 }
 
-void HybridEngine::resolve(std::span<const NodeId> transmitters,
-                           bool want_collisions, RoundResolution& out) {
+void WordRangeEngine::resolve(std::span<const NodeId> transmitters,
+                              bool want_collisions, RoundResolution& out) {
   out.clear();
   if (transmitters.empty()) return;
 
@@ -484,27 +314,34 @@ void HybridEngine::resolve(std::span<const NodeId> transmitters,
     tx_mask_[t >> 6] |= std::uint64_t{1} << (t & 63);
   }
 
-  std::size_t edge_work = 0;
-  for (const NodeId t : transmitters) edge_work += graph_.degree(t);
-  const bool inline_round =
-      shards_.size() <= 1 || edge_work < kHybridInlineCutoffEdges;
-  if (inline_round) {
-    for (auto& shard : shards_) {
-      resolve_shard(shard, transmitters, want_collisions);
-    }
+  if (!pool_) {
+    resolve_shard(0, transmitters, want_collisions, out);
   } else {
-    par::parallel_for(pool_, shards_.size(), [&](std::size_t i) {
-      resolve_shard(shards_[i], transmitters, want_collisions);
-    });
-  }
-
-  // Deterministic reduction: concatenate in shard (= ascending word-range)
-  // order, which is ascending listener order globally.
-  for (const auto& shard : shards_) {
-    out.deliveries.insert(out.deliveries.end(), shard.local.deliveries.begin(),
-                          shard.local.deliveries.end());
-    out.collisions.insert(out.collisions.end(), shard.local.collisions.begin(),
-                          shard.local.collisions.end());
+    // Shards read shared state (rows, tx_mask_) and write disjoint word
+    // ranges of the accumulators plus their own local buffers; the
+    // parallel_for completion is the round barrier.  Small rounds run the
+    // same shard code inline — identical results, no pool round trip.
+    const auto run_shard = [&](std::size_t s) {
+      shards_[s].local.clear();
+      resolve_shard(s, transmitters, want_collisions, shards_[s].local);
+    };
+    std::size_t edge_work = 0;
+    for (const NodeId t : transmitters) edge_work += graph_.degree(t);
+    if (edge_work < kInlineCutoffEdges) {
+      for (std::size_t s = 0; s < shards_.size(); ++s) run_shard(s);
+    } else {
+      par::parallel_for(*pool_, shards_.size(), run_shard);
+    }
+    // Deterministic reduction: concatenate in shard (= ascending
+    // word-range) order, which is ascending listener order globally.
+    for (const auto& shard : shards_) {
+      out.deliveries.insert(out.deliveries.end(),
+                            shard.local.deliveries.begin(),
+                            shard.local.deliveries.end());
+      out.collisions.insert(out.collisions.end(),
+                            shard.local.collisions.begin(),
+                            shard.local.collisions.end());
+    }
   }
 
   for (const NodeId t : transmitters) tx_mask_[t >> 6] = 0;
@@ -540,14 +377,11 @@ BackendKind choose_backend(const graph::Graph& g, BackendKind requested,
 std::unique_ptr<EngineBackend> make_engine_backend(const graph::Graph& g,
                                                    BackendKind kind,
                                                    std::size_t threads) {
-  switch (choose_backend(g, kind, threads)) {
-    case BackendKind::kBit: return std::make_unique<BitEngine>(g);
-    case BackendKind::kSharded:
-      return std::make_unique<ShardedBitEngine>(g, threads);
-    case BackendKind::kHybrid:
-      return std::make_unique<HybridEngine>(g, threads);
-    default: return std::make_unique<ScalarEngine>(g);
+  const BackendKind chosen = choose_backend(g, kind, threads);
+  if (chosen == BackendKind::kScalar) {
+    return std::make_unique<ScalarEngine>(g);
   }
+  return std::make_unique<WordRangeEngine>(g, chosen, threads);
 }
 
 }  // namespace radiocast::sim

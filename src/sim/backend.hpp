@@ -10,22 +10,12 @@
 ///
 ///  - `ScalarEngine` walks transmitter adjacency lists in the CSR graph:
 ///    O(sum of deg(t)) per round — optimal for sparse graphs.
-///  - `BitEngine` uses dense `graph::BitAdjacency` rows and the once/twice
-///    saturating accumulator (`twice |= once & row; once |= row`):
-///    O(T * n/64) word operations per round regardless of edge count,
-///    including the collision set (`twice` is exactly ">= 2 transmitting
-///    neighbours").
-///  - `ShardedBitEngine` is the multi-core BitEngine: the n/64-word row
-///    space is split into cache-line-aligned word-range shards, each
-///    resolved by a pool worker.  Shards are fixed disjoint ranges and the
-///    per-shard results are concatenated in shard order, so the outcome is
-///    bit-exact with `BitEngine` on any thread count.
-///  - `HybridEngine` keeps the sharded word-range stepping alive past the
-///    `kBitBackendMemoryCap` wall: listener bits still live in shared
-///    once/twice accumulator words, but transmitter rows are CSR slices
-///    scattered per shard, with per-(row, shard) dense bitmap slices
-///    precomputed only where the density pays for them.  Memory is
-///    O(n/8 + m) instead of O(n²/8).
+///  - `WordRangeEngine` folds transmitter rows into once/twice saturating
+///    accumulator words (`twice |= once & row; once |= row`), split into
+///    word-range shards: dense bitmap row slices where the graph is dense,
+///    CSR scatter where it is not.  `twice` is exactly ">= 2 transmitting
+///    neighbours", so the collision set comes for free.  `bit` is this
+///    engine with one worker; `sharded` and `hybrid` run it on `threads`.
 ///
 /// All backends produce listener-sorted results, so every `Engine`
 /// observable (traces, counters, delivery order) is bit-exact across them.
@@ -39,7 +29,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/bit_adjacency.hpp"
 #include "graph/graph.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/simd.hpp"
@@ -124,117 +113,43 @@ class ScalarEngine final : public EngineBackend {
   std::vector<NodeId> touched_;
 };
 
-/// Dense backend: once/twice saturating bit accumulation over adjacency
-/// bitmap rows.  Resolution costs O(T * n/64 + n/64) words per round; the
-/// accumulators are engine-owned scratch initialized by the first
-/// transmitter row each round (no per-round O(n)-bit zeroing passes), and
-/// `tx_mask_` is kept all-zero between rounds via transmitter-indexed
-/// clearing.  The word loops run through the `sim::simd` kernel set captured
-/// at construction (`simd::active_kernels()`): AVX-512/AVX2 where the CPU
-/// has them, the plain-word loop otherwise — bit-exact either way.
-class BitEngine final : public EngineBackend {
+/// The word-range backend behind `bit`, `sharded` and `hybrid`.  Listener
+/// bits live in shared once/twice accumulator words, split into contiguous
+/// cache-line-aligned word-range shards, one per worker (no two shards store
+/// to the same 64-byte line).  Each shard folds in every transmitter's slice
+/// of its range: a precomputed dense bitmap slice when the row has at least
+/// one neighbour per `kDenseWordsPerNeighbor` shard words, else a saturating
+/// per-bit scatter of the row's CSR neighbours that tracks touched words, so
+/// a sparse round costs O(round footprint), not O(n/64).  Dense slices are
+/// admitted in (row, shard) order under `kDenseSliceBudgetBytes`, packed
+/// row-major in one huge-page-advised arena, so the arena never exceeds the
+/// graph's `BitAdjacency` bitmap or the budget, and memory past the budget
+/// stays O(n/8 + m).  The dense word loops run through the
+/// `sim::simd` kernel set captured at construction.
+///
+/// A one-worker engine has one shard, resolves inline and starts no thread.
+/// With more workers, rounds whose total transmitter degree reaches
+/// `kInlineCutoffEdges` fan out over an engine-owned pool with a round
+/// barrier.  Per-shard results are listener-sorted and concatenated in shard
+/// order, so the outcome is bit-exact with `ScalarEngine` at any worker count.
+class WordRangeEngine final : public EngineBackend {
  public:
-  explicit BitEngine(const graph::Graph& g);
+  /// `kind` (kBit, kSharded or kHybrid) only names the engine: kBit runs one
+  /// worker, the others `threads` workers (0 means `hardware_concurrency()`).
+  WordRangeEngine(const graph::Graph& g, BackendKind kind,
+                  std::size_t threads = 0);
 
-  BackendKind kind() const noexcept override { return BackendKind::kBit; }
-  const char* name() const noexcept override { return "bit"; }
+  BackendKind kind() const noexcept override { return kind_; }
+  const char* name() const noexcept override { return to_string(kind_); }
   void resolve(std::span<const NodeId> transmitters, bool want_collisions,
                RoundResolution& out) override;
 
-  const graph::BitAdjacency& adjacency() const noexcept { return adj_; }
-  /// The kernel ISA this backend resolves with (fixed at construction).
-  simd::Isa isa() const noexcept { return kernels_->isa; }
-
- private:
-  const simd::Kernels* kernels_ = nullptr;
-  graph::BitAdjacency adj_;
-  std::size_t words_ = 0;
-  std::vector<std::uint64_t> once_;     ///< >= 1 transmitting neighbour
-  std::vector<std::uint64_t> twice_;    ///< >= 2 transmitting neighbours
-  std::vector<std::uint64_t> tx_mask_;  ///< transmitter membership
-  std::vector<std::uint64_t> heard_;    ///< once & ~twice & ~tx_mask
-  std::vector<std::uint32_t> unique_tx_index_;
-};
-
-/// Multi-core dense backend: the BitEngine computation partitioned into
-/// contiguous word-range shards (cache-line aligned so no two shards touch
-/// the same 64-byte line), resolved in parallel on an engine-owned
-/// `par::ThreadPool` with a round-level barrier (`parallel_for` returns only
-/// when every shard finished).  Each shard accumulates once/twice over its
-/// word range, extracts its deliveries/collisions into a shard-local reused
-/// buffer, and the shards are concatenated in range order — listener order
-/// is globally ascending and identical to `BitEngine` regardless of thread
-/// scheduling.  Rounds whose total word work is below a cutoff run inline on
-/// the calling thread (same shard code, same results), so sharded sparse
-/// rounds stay allocation-free and never pay pool latency.
-class ShardedBitEngine final : public EngineBackend {
- public:
-  /// \param threads worker count; 0 means `hardware_concurrency()`.
-  explicit ShardedBitEngine(const graph::Graph& g, std::size_t threads = 0);
-
-  BackendKind kind() const noexcept override { return BackendKind::kSharded; }
-  const char* name() const noexcept override { return "sharded"; }
-  void resolve(std::span<const NodeId> transmitters, bool want_collisions,
-               RoundResolution& out) override;
-
-  std::size_t thread_count() const noexcept { return pool_.thread_count(); }
-  std::size_t shard_count() const noexcept { return shards_.size(); }
-  const graph::BitAdjacency& adjacency() const noexcept { return adj_; }
-  /// The kernel ISA this backend resolves with (fixed at construction).
-  simd::Isa isa() const noexcept { return kernels_->isa; }
-
- private:
-  struct Shard {
-    std::size_t begin_word = 0;
-    std::size_t end_word = 0;
-    RoundResolution local;  ///< reused across rounds (allocation-free)
-  };
-
-  void resolve_shard(Shard& shard, std::span<const NodeId> transmitters,
-                     bool want_collisions);
-
-  const simd::Kernels* kernels_ = nullptr;
-  graph::BitAdjacency adj_;
-  std::size_t words_ = 0;
-  par::ThreadPool pool_;
-  std::vector<Shard> shards_;
-  std::vector<std::uint64_t> once_;
-  std::vector<std::uint64_t> twice_;
-  std::vector<std::uint64_t> tx_mask_;
-  std::vector<std::uint64_t> heard_;
-  std::vector<std::uint32_t> unique_tx_index_;
-};
-
-/// Hybrid sparse/dense backend for graphs whose full adjacency bitmap would
-/// blow `kBitBackendMemoryCap`.  Listener bits live in the same shared
-/// once/twice accumulator words as the bit backends, partitioned into
-/// cache-line-aligned word-range shards; each shard folds in the
-/// transmitters by scattering their CSR neighbour slices (two binary
-/// searches bound the slice) with saturating per-bit semantics, tracking
-/// touched words so extraction and clearing cost O(round footprint), not
-/// O(n/64).  At construction, (row, shard) pairs dense enough that
-/// word-parallel accumulation beats per-bit scatter get a precomputed dense
-/// bitmap slice, admitted in deterministic (row, shard) order under a global
-/// memory budget.  Results are listener-sorted per shard and concatenated in
-/// shard order — bit-exact with `ScalarEngine` at any shard/thread count.
-class HybridEngine final : public EngineBackend {
- public:
-  /// \param threads worker count; 0 means `hardware_concurrency()`.
-  explicit HybridEngine(const graph::Graph& g, std::size_t threads = 0);
-
-  BackendKind kind() const noexcept override { return BackendKind::kHybrid; }
-  const char* name() const noexcept override { return "hybrid"; }
-  void resolve(std::span<const NodeId> transmitters, bool want_collisions,
-               RoundResolution& out) override;
-
-  std::size_t thread_count() const noexcept { return pool_.thread_count(); }
+  /// Workers the engine was built for; the pool starts one thread per shard
+  /// and none when there is a single shard.
+  std::size_t thread_count() const noexcept { return workers_; }
   std::size_t shard_count() const noexcept { return shards_.size(); }
   /// Total words of precomputed dense row slices (diagnostics/tests).
-  std::size_t dense_slice_words() const noexcept { return dense_words_; }
-  /// True iff the slice arena is huge-page-advised (diagnostics/tests).
-  bool dense_arena_huge() const noexcept { return dense_arena_.huge(); }
-  /// The kernel ISA this backend resolves with (fixed at construction).
-  simd::Isa isa() const noexcept { return kernels_->isa; }
+  std::size_t dense_slice_words() const noexcept { return dense_arena_.size(); }
 
  private:
   struct Shard {
@@ -242,35 +157,40 @@ class HybridEngine final : public EngineBackend {
     std::size_t end_word = 0;
     NodeId begin_node = 0;
     NodeId end_node = 0;
-    /// Rows with a precomputed dense slice over this shard (sorted) and the
-    /// slice's word offset into the shared `dense_arena_`.
-    std::vector<NodeId> dense_ids;
-    std::vector<std::size_t> dense_offsets;
-    /// Round scratch, reused: touched accumulator words (ascending after
-    /// sort), dense rows folded in this round, and the local result.
+    /// Round scratch, reused: touched accumulator words, dense rows folded
+    /// in this round (transmitter index, slice), and the local result.
     std::vector<std::size_t> touched;
     std::vector<std::pair<std::uint32_t, const std::uint64_t*>> round_dense;
-    bool whole_range = false;
     RoundResolution local;
   };
 
-  void resolve_shard(Shard& shard, std::span<const NodeId> transmitters,
-                     bool want_collisions);
+  /// Row `v`'s dense slice over shard `s`, or nullptr when it scatters.
+  const std::uint64_t* dense_slice(NodeId v, std::size_t s) const;
+  void resolve_shard(std::size_t s, std::span<const NodeId> transmitters,
+                     bool want_collisions, RoundResolution& out);
+
+  static constexpr std::uint32_t kNoSlice = ~std::uint32_t{0};
 
   const simd::Kernels* kernels_ = nullptr;
   const graph::Graph& graph_;
+  BackendKind kind_;
+  std::size_t workers_ = 1;
   std::size_t words_ = 0;
-  std::size_t dense_words_ = 0;
-  par::ThreadPool pool_;
   std::vector<Shard> shards_;
-  /// All precomputed dense (row, shard) slices, packed in admission order in
-  /// one huge-page-advised arena (shards index it via `dense_offsets`).
+  /// Two-level O(1) slice index: `dense_row_[v]` numbers the rows holding
+  /// at least one slice (empty when none does), and
+  /// `slice_offset_[k * shard_count() + s]` is dense row k's arena offset
+  /// over shard s, or kNoSlice.
+  std::vector<std::uint32_t> dense_row_;
+  std::vector<std::uint32_t> slice_offset_;
   support::HugeWords dense_arena_;
-  std::vector<std::uint64_t> once_;
-  std::vector<std::uint64_t> twice_;
-  std::vector<std::uint64_t> tx_mask_;
-  std::vector<std::uint64_t> heard_;
+  std::vector<std::uint64_t> once_;     ///< >= 1 transmitting neighbour
+  std::vector<std::uint64_t> twice_;    ///< >= 2 transmitting neighbours
+  std::vector<std::uint64_t> tx_mask_;  ///< transmitter membership
+  std::vector<std::uint64_t> heard_;    ///< once & ~twice & ~tx_mask
   std::vector<std::uint32_t> unique_tx_index_;
+  /// Last, so its threads stop before the state its tasks use is destroyed.
+  std::unique_ptr<par::ThreadPool> pool_;  ///< null with a single shard
 };
 
 /// Upper bound on the adjacency bitmap a kAuto selection may allocate.
@@ -281,32 +201,30 @@ inline constexpr std::size_t kBitBackendMemoryCap = 64u << 20;  // 64 MiB
 /// words that the per-round barrier costs more than the split saves.
 inline constexpr std::uint32_t kShardedAutoMinNodes = 8192;
 
-/// Below this many words of round work (T * words/row), ShardedBitEngine
-/// resolves inline on the calling thread instead of fanning out.
-inline constexpr std::size_t kShardedInlineCutoffWords = 1u << 14;
-
 /// kAuto picks kHybrid over kScalar at this node count and above when the
 /// full bitmap exceeds `kBitBackendMemoryCap`: below it the scalar walk's
 /// touched-node bookkeeping is already cheap enough that shard setup per
 /// round would dominate.
 inline constexpr std::uint32_t kHybridAutoMinNodes = 65536;
 
-/// Global budget for HybridEngine's precomputed dense row slices.
-inline constexpr std::size_t kHybridDenseBudgetBytes = 64u << 20;  // 64 MiB
+/// Global budget for WordRangeEngine's precomputed dense row slices.
+inline constexpr std::size_t kDenseSliceBudgetBytes = 64u << 20;  // 64 MiB
 
-/// A (row, shard) pair gets a dense slice only when the row has at least
-/// this many neighbours per slice word — past the break-even point where
-/// word-parallel accumulation plus whole-range extraction beats per-bit
-/// scatter over the touched words.
-inline constexpr std::size_t kHybridDenseNeighborsPerWord = 2;
+/// A (row, shard) pair gets a dense slice when the slice spans at most this
+/// many words per neighbour inside the shard.  A folded word (one SIMD lane
+/// of a streaming OR/AND) costs a small fraction of a scattered bit (a
+/// dependent read-modify-write), so a slice pays from about one neighbour
+/// per 8 words.  On graphs dense enough for kAuto to pick `bit` (average
+/// degree >= n/64), nearly every row qualifies.
+inline constexpr std::size_t kDenseWordsPerNeighbor = 8;
 
-/// Below this much total transmitter degree, HybridEngine resolves inline
-/// on the calling thread instead of fanning out.
-inline constexpr std::size_t kHybridInlineCutoffEdges = 1u << 14;
+/// Below this much total transmitter degree, a multi-shard WordRangeEngine
+/// resolves inline on the calling thread instead of fanning out.
+inline constexpr std::size_t kInlineCutoffEdges = 1u << 14;
 
 /// Resolves kAuto against the graph: kBit iff the bitmap fits under
 /// `kBitBackendMemoryCap` and the average degree exceeds the n/64 words a
-/// BitEngine touches per transmitter (the break-even density); kBit further
+/// dense row folds per transmitter (the break-even density); kBit further
 /// upgrades to kSharded when n >= `kShardedAutoMinNodes` and
 /// `resolve_thread_count(threads) >= 2`.  Above the bitmap cap, graphs with
 /// n >= `kHybridAutoMinNodes` go kHybrid and smaller ones kScalar.
@@ -315,8 +233,8 @@ BackendKind choose_backend(const graph::Graph& g, BackendKind requested,
                            std::size_t threads = 0);
 
 /// Constructs the chosen backend, resolving kAuto via `choose_backend`.
-/// `threads` is the worker count for kSharded (0 = hardware concurrency);
-/// other backends ignore it.
+/// `threads` is the worker count for kSharded and kHybrid (0 = hardware
+/// concurrency); kBit runs one worker and kScalar ignores it.
 std::unique_ptr<EngineBackend> make_engine_backend(const graph::Graph& g,
                                                    BackendKind kind,
                                                    std::size_t threads = 0);

@@ -249,11 +249,16 @@ TEST(BackendSelection, ShardsAreCacheAlignedAndCoverAllWords) {
   Rng rng(9);
   const Graph g = graph::gnp_connected(300, 0.4, rng);  // 5 words per row
   for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
-    sim::ShardedBitEngine engine(g, threads);
+    sim::WordRangeEngine engine(g, sim::BackendKind::kSharded, threads);
     EXPECT_EQ(engine.thread_count(), threads);
     EXPECT_GE(engine.shard_count(), 1u);
     EXPECT_LE(engine.shard_count(), threads);
   }
+  // `bit` is the one-worker engine: one shard whatever `threads` says.
+  sim::WordRangeEngine bit(g, sim::BackendKind::kBit, 8);
+  EXPECT_EQ(bit.thread_count(), 1u);
+  EXPECT_EQ(bit.shard_count(), 1u);
+  EXPECT_STREQ(bit.name(), "bit");
 }
 
 TEST(BackendSelection, AutoPicksByDensity) {
@@ -351,7 +356,7 @@ TEST(BackendDifferential, HybridDenseSlicesMatchScalarOnClique) {
   // and its heard-bit attribution pass at several thread counts.
   const Graph g = graph::complete(512);
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    sim::HybridEngine probe(g, threads);
+    sim::WordRangeEngine probe(g, sim::BackendKind::kHybrid, threads);
     EXPECT_GT(probe.dense_slice_words(), 0u) << threads;
     sim::Engine scalar(
         g, hash_talkers(g.node_count(), 99, 3),
@@ -363,6 +368,24 @@ TEST(BackendDifferential, HybridDenseSlicesMatchScalarOnClique) {
     expect_engines_equal(scalar, hybrid,
                          "clique hybrid t" + std::to_string(threads));
   }
+}
+
+TEST(BackendDifferential, ExplicitBitPastTheBitmapCapStaysSparse) {
+  // path(65536) as a full bitmap would take 512 MiB.  An explicit `bit`
+  // request builds the one-worker word-range engine instead: no path row is
+  // dense enough for a slice, so every row scatters its CSR neighbours.
+  const Graph g = graph::path(65536);
+  const auto n = g.node_count();
+  sim::WordRangeEngine probe(g, sim::BackendKind::kBit);
+  EXPECT_EQ(probe.dense_slice_words(), 0u);
+  EXPECT_EQ(probe.shard_count(), 1u);
+  sim::Engine scalar(g, hash_talkers(n, 7, 3),
+                     {sim::TraceLevel::kFull, true, sim::BackendKind::kScalar});
+  sim::Engine bit(g, hash_talkers(n, 7, 3),
+                  {sim::TraceLevel::kFull, true, sim::BackendKind::kBit});
+  EXPECT_EQ(bit.backend_kind(), sim::BackendKind::kBit);
+  for (int r = 0; r < 8; ++r) EXPECT_EQ(scalar.step(), bit.step());
+  expect_engines_equal(scalar, bit, "path(65536) explicit bit");
 }
 
 TEST(BackendDifferential, HybridBroadcastAtBitmapScale) {
@@ -618,10 +641,15 @@ TEST(CompiledArb, ReplayMatchesEngineOnRandomGraphs) {
     expect_replay_matches_engine(replay, engine, what);
     const auto& prediction = compiled.prediction();
     EXPECT_EQ(prediction.total_rounds, engine.round()) << what;
+    EXPECT_EQ(prediction.completion_round, engine.last_first_data_reception())
+        << what;
+    EXPECT_EQ(prediction.max_stamp, engine.max_stamp_seen()) << what;
     for (NodeId v = 0; v < n; ++v) {
       const auto& p = dynamic_cast<const core::ArbProtocol&>(
           engine.protocol(v));
-      if (p.is_coordinator()) EXPECT_EQ(prediction.T, p.T()) << what;
+      if (p.is_coordinator()) {
+        EXPECT_EQ(prediction.T, p.T()) << what;
+      }
       if (prediction.ok) {
         EXPECT_EQ(prediction.done_round, p.done_round())
             << what << " node " << v;

@@ -160,12 +160,9 @@ TEST(SchemeDifferential, CompiledReplayMatchesEngineTrace) {
           std::string(name) + " graph#" + std::to_string(gi);
       EXPECT_EQ(engine.ok, compiled.ok) << context;
       EXPECT_EQ(engine.rounds, compiled.rounds) << context;
-      if (std::string(name) != "arb") {
-        // B_arb's prediction mirrors ArbRun, which never exposed a
-        // completion round; B and B_ack predict it exactly.
-        EXPECT_EQ(engine.completion_round, compiled.completion_round)
-            << context;
-      }
+      EXPECT_EQ(engine.completion_round, compiled.completion_round)
+          << context;
+      EXPECT_EQ(engine.max_stamp, compiled.max_stamp) << context;
       EXPECT_EQ(engine.ack_round, compiled.ack_round) << context;
       EXPECT_EQ(engine.done_round, compiled.done_round) << context;
       EXPECT_EQ(engine.tx_total, compiled.tx_total) << context;
