@@ -6,8 +6,8 @@
 #include <algorithm>
 
 #include "analysis/experiments.hpp"
-#include "core/runner.hpp"
 #include "parallel/parallel_for.hpp"
+#include "runtime/scheme.hpp"
 
 namespace radiocast::bench {
 namespace {
@@ -22,13 +22,13 @@ void run(Context& ctx) {
           s.family = w.family;
           s.n = w.graph.node_count();
           s.m = w.graph.edge_count();
-          core::AckRun run;
-          core::RunOptions opt;
-          opt.backend = ctx.backend();
-          opt.threads = ctx.threads();
-          opt.dispatch = ctx.dispatch();
-          s.wall_ns = time_ns(
-              [&] { run = core::run_acknowledged(w.graph, w.source, opt); });
+          runtime::SchemeResult run;
+          runtime::ExecutionConfig exec{.backend = ctx.backend(),
+                                        .dispatch = ctx.dispatch(),
+                                        .threads = ctx.threads()};
+          s.wall_ns = time_ns([&] {
+            run = runtime::run_scheme("ack", w.graph, w.source, {}, exec);
+          });
           s.rounds = run.completion_round;
           const std::uint64_t ell = run.ell;
           const bool in_cor38 =
@@ -40,9 +40,10 @@ void run(Context& ctx) {
               run.ack_round <= run.completion_round + s.n - 1;
           // The compiled Theorem 3.9 replay must agree with the engine on
           // every observable it predicts.
-          core::AckRun compiled;
+          runtime::SchemeResult compiled;
+          exec.compiled = true;
           const auto compiled_ns = time_ns([&] {
-            compiled = core::run_acknowledged_compiled(w.graph, w.source, opt);
+            compiled = runtime::run_scheme("ack", w.graph, w.source, {}, exec);
           });
           const bool compiled_agrees =
               compiled.all_informed == run.all_informed &&

@@ -4,9 +4,8 @@
 #include "harness.hpp"
 
 #include "analysis/experiments.hpp"
-#include "baselines/baselines.hpp"
-#include "core/runner.hpp"
 #include "parallel/parallel_for.hpp"
+#include "runtime/scheme.hpp"
 
 namespace radiocast::bench {
 namespace {
@@ -27,12 +26,12 @@ void run(Context& ctx) {
           };
 
           Sample b = base("B");
-          core::BroadcastRun rb;
-          core::RunOptions opt;
-          opt.backend = ctx.backend();
-          opt.dispatch = ctx.dispatch();
-          b.wall_ns = time_ns(
-              [&] { rb = core::run_broadcast(w.graph, w.source, opt); });
+          runtime::SchemeResult rb;
+          const runtime::ExecutionConfig exec{.backend = ctx.backend(),
+                                              .dispatch = ctx.dispatch()};
+          b.wall_ns = time_ns([&] {
+            rb = runtime::run_scheme("b", w.graph, w.source, {}, exec);
+          });
           b.rounds = rb.completion_round;
           b.transmissions = rb.data_tx_count + rb.stay_count;
           b.ok = rb.all_informed;
@@ -40,29 +39,31 @@ void run(Context& ctx) {
           group.push_back(std::move(b));
 
           Sample rr = base("round_robin");
-          baselines::BaselineRun rrr;
-          rr.wall_ns =
-              time_ns([&] { rrr = baselines::run_round_robin(w.graph,
-                                                             w.source); });
+          runtime::SchemeResult rrr;
+          rr.wall_ns = time_ns([&] {
+            rrr = runtime::run_scheme("round-robin", w.graph, w.source);
+          });
           rr.rounds = rrr.completion_round;
           rr.ok = rrr.all_informed;
           rr.extra = {{"label_bits", static_cast<double>(rrr.label_bits)}};
           group.push_back(std::move(rr));
 
           Sample cr = base("color_robin");
-          baselines::BaselineRun crr;
-          cr.wall_ns =
-              time_ns([&] { crr = baselines::run_color_robin(w.graph,
-                                                             w.source); });
+          runtime::SchemeResult crr;
+          cr.wall_ns = time_ns([&] {
+            crr = runtime::run_scheme("color-robin", w.graph, w.source);
+          });
           cr.rounds = crr.completion_round;
           cr.ok = crr.all_informed;
           cr.extra = {{"label_bits", static_cast<double>(crr.label_bits)}};
           group.push_back(std::move(cr));
 
           Sample dk = base("decay");
-          baselines::BaselineRun dkr;
-          dk.wall_ns = time_ns(
-              [&] { dkr = baselines::run_decay(w.graph, w.source, 1234 + i); });
+          runtime::SchemeResult dkr;
+          dk.wall_ns = time_ns([&] {
+            dkr = runtime::run_scheme("decay", w.graph, w.source,
+                                      {.seed = 1234 + i});
+          });
           dk.rounds = dkr.completion_round;
           dk.ok = dkr.all_informed;
           dk.extra = {{"label_bits", 0.0}};

@@ -3,9 +3,9 @@
 #include "harness.hpp"
 
 #include "analysis/experiments.hpp"
-#include "core/runner.hpp"
 #include "graph/traversal.hpp"
 #include "parallel/parallel_for.hpp"
+#include "runtime/scheme.hpp"
 
 namespace radiocast::bench {
 namespace {
@@ -20,12 +20,12 @@ void run(Context& ctx) {
           s.family = w.family;
           s.n = w.graph.node_count();
           s.m = w.graph.edge_count();
-          core::BroadcastRun run;
-          core::RunOptions opt;
-          opt.backend = ctx.backend();
-          opt.dispatch = ctx.dispatch();
-          s.wall_ns = time_ns(
-              [&] { run = core::run_broadcast(w.graph, w.source, opt); });
+          runtime::SchemeResult run;
+          const runtime::ExecutionConfig exec{.backend = ctx.backend(),
+                                              .dispatch = ctx.dispatch()};
+          s.wall_ns = time_ns([&] {
+            run = runtime::run_scheme("b", w.graph, w.source, {}, exec);
+          });
           s.rounds = run.completion_round;
           s.transmissions = run.data_tx_count + run.stay_count;
           s.ok = run.all_informed && run.completion_round <= run.bound;

@@ -5,10 +5,9 @@
 #include "harness.hpp"
 
 #include "analysis/symmetry.hpp"
-#include "baselines/beep.hpp"
-#include "core/runner.hpp"
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
+#include "runtime/scheme.hpp"
 
 namespace radiocast::bench {
 namespace {
@@ -36,16 +35,16 @@ void run(Context& ctx) {
     s.n = c.g.node_count();
     s.m = c.g.edge_count();
     bool blocked = false;
-    baselines::BeepRun beep;
-    core::BroadcastRun b;
+    runtime::SchemeResult beep;
+    runtime::SchemeResult b;
     s.wall_ns = time_ns([&] {
       const std::vector<std::uint32_t> plain(c.g.node_count(), 0);
       blocked = analysis::analyze_symmetry(c.g, plain, 0).broadcast_blocked;
-      beep = baselines::run_beep(c.g, 0, kMu, kBits);
-      core::RunOptions opt;
-      opt.backend = ctx.backend();
-      opt.dispatch = ctx.dispatch();
-      b = core::run_broadcast(c.g, 0, opt);
+      beep = runtime::run_scheme("beep", c.g, 0,
+                                 {.mu = kMu, .frame_bits = kBits});
+      const runtime::ExecutionConfig exec{.backend = ctx.backend(),
+                                          .dispatch = ctx.dispatch()};
+      b = runtime::run_scheme("b", c.g, 0, {}, exec);
     });
     s.rounds = b.completion_round;
     s.transmissions = b.data_tx_count + b.stay_count;

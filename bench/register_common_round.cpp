@@ -4,8 +4,8 @@
 #include "harness.hpp"
 
 #include "analysis/experiments.hpp"
-#include "core/runner.hpp"
 #include "parallel/parallel_for.hpp"
+#include "runtime/scheme.hpp"
 
 namespace radiocast::bench {
 namespace {
@@ -20,17 +20,16 @@ void run(Context& ctx) {
           s.family = w.family;
           s.n = w.graph.node_count();
           s.m = w.graph.edge_count();
-          core::CommonRoundRun run;
-          s.wall_ns =
-              time_ns([&] {
-                core::RunOptions opt;
-                opt.backend = ctx.backend();
-                opt.dispatch = ctx.dispatch();
-                run = core::run_common_round(w.graph, w.source, opt);
-              });
-          s.rounds = run.common_round;
-          s.ok = run.ok && run.last_learned < run.common_round;
-          s.extra = {{"ack_m", static_cast<double>(run.m)},
+          runtime::SchemeResult run;
+          const runtime::ExecutionConfig exec{.backend = ctx.backend(),
+                                              .dispatch = ctx.dispatch()};
+          s.wall_ns = time_ns([&] {
+            run = runtime::run_scheme("common-round", w.graph, w.source, {},
+                                      exec);
+          });
+          s.rounds = run.done_round;
+          s.ok = run.ok && run.last_learned < run.done_round;
+          s.extra = {{"ack_m", static_cast<double>(run.T)},
                      {"last_learned", static_cast<double>(run.last_learned)}};
           return s;
         });

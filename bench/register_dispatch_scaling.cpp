@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "core/runner.hpp"
+#include "core/protocols.hpp"
 #include "graph/generators.hpp"
 #include "sim/dispatch.hpp"
 #include "sim/engine.hpp"
@@ -47,9 +47,9 @@ struct BroadcastStep {
 
 /// One full B execution under the given dispatch mode (scalar backend: the
 /// sparse graphs here are exactly its regime), best of `kReps`.
-BroadcastStep run_broadcast_mode(const graph::Graph& g,
-                                 const core::Labeling& labeling,
-                                 sim::DispatchKind dispatch) {
+BroadcastStep broadcast_under(const graph::Graph& g,
+                              const core::Labeling& labeling,
+                              sim::DispatchKind dispatch) {
   constexpr int kReps = 3;
   BroadcastStep best;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -75,10 +75,9 @@ BroadcastStep run_broadcast_mode(const graph::Graph& g,
 void broadcast_family(Context& ctx, const std::string& family,
                       const graph::Graph& g, bool acceptance_family) {
   const auto labeling = core::label_broadcast(g, 0);
-  const auto scan =
-      run_broadcast_mode(g, labeling, sim::DispatchKind::kScan);
+  const auto scan = broadcast_under(g, labeling, sim::DispatchKind::kScan);
   const auto active =
-      run_broadcast_mode(g, labeling, sim::DispatchKind::kActiveSet);
+      broadcast_under(g, labeling, sim::DispatchKind::kActiveSet);
 
   const bool agree = scan.all_informed && active.all_informed &&
                      scan.rounds == active.rounds &&

@@ -14,9 +14,8 @@
 #include <memory>
 #include <string>
 
-#include "core/compiled_schedule.hpp"
-#include "core/runner.hpp"
 #include "graph/generators.hpp"
+#include "runtime/scheme.hpp"
 #include "sim/backend.hpp"
 #include "sim/engine.hpp"
 #include "support/rng.hpp"
@@ -67,23 +66,24 @@ void broadcast_family(Context& ctx, const std::string& family,
                       const graph::Graph& g) {
   struct Variant {
     const char* name;
-    core::BroadcastRun run;
+    runtime::SchemeResult run;
     std::uint64_t wall_ns = 0;
   };
   Variant variants[3] = {
       {"scalar", {}, 0}, {"bit", {}, 0}, {"compiled", {}, 0}};
 
-  core::RunOptions opt;
-  opt.threads = ctx.threads();
-  opt.backend = sim::BackendKind::kScalar;
-  variants[0].wall_ns =
-      time_ns([&] { variants[0].run = core::run_broadcast(g, 0, opt); });
-  opt.backend = sim::BackendKind::kBit;
-  variants[1].wall_ns =
-      time_ns([&] { variants[1].run = core::run_broadcast(g, 0, opt); });
-  opt.backend = ctx.backend();
-  variants[2].wall_ns = time_ns(
-      [&] { variants[2].run = core::run_broadcast_compiled(g, 0, opt); });
+  runtime::ExecutionConfig exec{.backend = sim::BackendKind::kScalar,
+                                .threads = ctx.threads()};
+  const auto time_variant = [&](Variant& v) {
+    v.wall_ns =
+        time_ns([&] { v.run = runtime::run_scheme("b", g, 0, {}, exec); });
+  };
+  time_variant(variants[0]);
+  exec.backend = sim::BackendKind::kBit;
+  time_variant(variants[1]);
+  exec.backend = ctx.backend();
+  exec.compiled = true;
+  time_variant(variants[2]);
 
   const auto& ref = variants[0].run;
   bool agree = ref.all_informed;

@@ -5,7 +5,7 @@
 
 #include <map>
 
-#include "core/runner.hpp"
+#include "core/protocols.hpp"
 #include "core/verifier.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"

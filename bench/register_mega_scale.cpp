@@ -8,7 +8,7 @@
 //    acceptance row (t8, n >= 10^6) must be >= 3x faster than t1 — asserted
 //    only when the host has >= 8 hardware threads (recorded otherwise).
 //  - mega/color/tN (N in 1,8): square_coloring equality across thread counts.
-//  - mega/broadcast: run_broadcast under kAuto (hybrid backend at this
+//  - mega/broadcast: scheme "b" under kAuto (hybrid backend at this
 //    scale); ok iff all informed within the 2n-3 bound.
 // Wall budgets are per-node linear envelopes (~5x a 1-core measurement), so
 // the scenario is a completes-within-budget gate at any ladder size.
@@ -21,9 +21,9 @@
 #include <vector>
 
 #include "core/labeling.hpp"
-#include "core/runner.hpp"
 #include "graph/coloring.hpp"
 #include "graph/generators.hpp"
+#include "runtime/scheme.hpp"
 #include "sim/backend.hpp"
 #include "support/rng.hpp"
 
@@ -138,16 +138,16 @@ void run(Context& ctx) {
 
     // --- mega/broadcast: end-to-end under kAuto (hybrid at this scale) --
     {
-      core::BroadcastRun run;
-      core::RunOptions opt;
-      opt.backend = ctx.backend();
-      opt.dispatch = ctx.dispatch();
-      opt.threads = ctx.threads();
+      runtime::SchemeResult run;
+      const runtime::ExecutionConfig exec{.backend = ctx.backend(),
+                                          .dispatch = ctx.dispatch(),
+                                          .threads = ctx.threads()};
       Sample s;
       s.family = "mega/broadcast";
       s.n = n;
       s.m = g.edge_count();
-      s.wall_ns = time_ns([&] { run = core::run_broadcast(g, 0, opt); });
+      s.wall_ns =
+          time_ns([&] { run = runtime::run_scheme("b", g, 0, {}, exec); });
       s.rounds = run.completion_round;
       s.transmissions = run.data_tx_count + run.stay_count;
       s.ok = run.all_informed && run.completion_round <= run.bound &&

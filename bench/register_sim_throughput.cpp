@@ -7,9 +7,10 @@
 #include <memory>
 
 #include "core/labeling.hpp"
-#include "core/runner.hpp"
+#include "core/protocols.hpp"
 #include "graph/generators.hpp"
 #include "parallel/parallel_for.hpp"
+#include "runtime/scheme.hpp"
 #include "sim/backend.hpp"
 #include "sim/engine.hpp"
 #include "sim/simd.hpp"
@@ -313,12 +314,12 @@ void run(Context& ctx) {
     s.n = n;
     std::uint64_t total_rounds = 0;
     s.wall_ns = time_ns([&] {
-      core::RunOptions run_opt;
-      run_opt.backend = ctx.backend();
-      run_opt.threads = ctx.threads();
+      const runtime::ExecutionConfig exec{.backend = ctx.backend(),
+                                          .threads = ctx.threads()};
       const auto rounds =
           par::parallel_map(ctx.pool(), graphs.size(), [&](std::size_t i) {
-            return core::run_broadcast(graphs[i], 0, run_opt).completion_round;
+            return runtime::run_scheme("b", graphs[i], 0, {}, exec)
+                .completion_round;
           });
       for (const auto r : rounds) total_rounds += r;
     });

@@ -9,10 +9,9 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/runner.hpp"
+#include "core/labeling.hpp"
 #include "graph/generators.hpp"
-#include "core/multi.hpp"
-#include "sim/engine.hpp"
+#include "runtime/scheme.hpp"
 #include "support/rng.hpp"
 
 int main() {
@@ -42,7 +41,8 @@ int main() {
   // One continuous radio session: the gateway releases chunk k+1 only after
   // the acknowledgement for chunk k has walked back to it (paper §1.2).
   const std::vector<std::uint32_t> firmware = {0xCAFE, 0xBEEF, 0xF00D, 0x1CEE};
-  const auto session = core::run_multi_broadcast(campus, gateway, firmware);
+  const auto session =
+      runtime::run_scheme("multi", campus, gateway, {.payloads = firmware});
   if (!session.ok) {
     std::printf("rollout FAILED\n");
     return 1;
@@ -55,7 +55,7 @@ int main() {
   std::printf("firmware rollout complete: %zu chunks in %llu radio rounds "
               "(%llu rounds per chunk, pipeline is perfectly periodic)\n",
               firmware.size(),
-              static_cast<unsigned long long>(session.total_rounds),
+              static_cast<unsigned long long>(session.rounds),
               static_cast<unsigned long long>(session.rounds_per_message));
   return 0;
 }

@@ -8,7 +8,7 @@
 // their 2-bit label and what they hear.
 #include <cstdio>
 
-#include "core/runner.hpp"
+#include "core/protocols.hpp"
 #include "core/verifier.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"

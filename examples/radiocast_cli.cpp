@@ -2,7 +2,8 @@
 //
 //   radiocast_cli gen <family> [args...]          emit an edge list
 //   radiocast_cli label  [--source N] [--scheme b|ack|arb] < edges
-//   radiocast_cli run    [--source N] [--scheme b|ack|arb|onebit] < edges
+//   radiocast_cli run    [--source N] [--scheme NAME] < edges
+//                        run any registered scheme (b, ack, arb, multi, ...)
 //   radiocast_cli verify [--source N] < edges     run B + Lemma 2.8 check
 //   radiocast_cli dot    [--source N] < edges     Graphviz with labels
 //   radiocast_cli sweep  [--suite standard|quick] [--n N] [--schemes ...]
@@ -25,12 +26,11 @@
 #include <string>
 
 #include "analysis/experiments.hpp"
-#include "core/runner.hpp"
-#include "core/verifier.hpp"
+#include "core/labeling.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/traversal.hpp"
-#include "onebit/runner.hpp"
+#include "onebit/labeler.hpp"
 #include "runtime/flags.hpp"
 #include "runtime/scheme.hpp"
 #include "runtime/sweep.hpp"
@@ -42,23 +42,40 @@ namespace {
 
 using namespace radiocast;
 
+/// Every registered scheme name, comma-separated.
+std::string scheme_names() {
+  std::string out;
+  for (const auto* s : runtime::SchemeRegistry::instance().schemes()) {
+    if (!out.empty()) out += ", ";
+    out += s->name();
+  }
+  return out;
+}
+
 int usage() {
   std::fprintf(stderr,
                "usage: radiocast_cli gen <family> [args...]\n"
-               "       radiocast_cli {label|run|verify|dot} [--source N] "
-               "[--scheme b|ack|arb|onebit]\n"
+               "       radiocast_cli label [--source N] "
+               "[--scheme b|ack|arb|onebit] < edge-list\n"
+               "       radiocast_cli run [--source N] [--scheme NAME] "
+               "[--faults ...] [--resilient]\n"
                "                     [--backend "
-               "auto|scalar|bit|sharded|compiled]\n"
+               "auto|scalar|bit|sharded|hybrid|compiled]\n"
                "                     [--dispatch auto|scan|active] "
                "[--threads N] < edge-list\n"
+               "       radiocast_cli {verify|dot} [--source N] "
+               "[--backend ...] < edge-list\n"
                "       radiocast_cli sweep [--suite standard|quick] [--n N] "
                "[--seed S]\n"
                "                     [--schemes LIST|all] [--repeat K] "
                "[--backend ...] [--dispatch ...]\n"
                "                     [--threads N] [--store DIR] "
                "[--store-gc-bytes B] [--faults ...]\n"
-               "       (--backend compiled replays the label-determined "
-               "schedule; run --scheme b|ack|arb;\n"
+               "       (run takes every registered scheme: %s;\n"
+               "        --backend compiled replays the label-determined "
+               "schedule where the scheme\n"
+               "        has one (b, ack, arb) and runs the engine "
+               "otherwise;\n"
                "        --dispatch picks the protocol-dispatch strategy "
                "[auto = active-set when hinted];\n"
                "        --threads sets the sharded/sweep worker count, "
@@ -72,6 +89,7 @@ int usage() {
                "workload suite with a shared\n"
                "        plan cache — --repeat K reruns the batch to "
                "demonstrate warm-cache hits)\n",
+               scheme_names().c_str(),
                std::string(runtime::faults_flag_values()).c_str());
   return 2;
 }
@@ -110,10 +128,12 @@ Options parse_options(int argc, char** argv, int first) {
   return opt;
 }
 
-/// Display name of the selected backend ("compiled" wins over the engine
-/// backend, mirroring how the run commands treat the flag).
-const char* backend_display(const Options& opt) {
-  return opt.exec.compiled ? "compiled" : sim::to_string(opt.exec.backend);
+/// Rejects a scheme name the registry does not know, listing the ones it
+/// does (exit code 2, like every other usage error).
+int unknown_scheme(const std::string& name) {
+  std::fprintf(stderr, "unknown scheme '%s'; registered: %s\n", name.c_str(),
+               scheme_names().c_str());
+  return 2;
 }
 
 int cmd_gen(int argc, char** argv) {
@@ -196,102 +216,37 @@ int cmd_label(const graph::Graph& g, const Options& opt) {
 }
 
 int cmd_run(const graph::Graph& g, const Options& opt) {
-  if (opt.exec.faults.enabled() || opt.resilient) {
-    // Faulted / resilient runs go through the scheme registry: the legacy
-    // core::run_* wrappers predate ExecutionConfig's fault plan, and
-    // compiled replays model only the fault-free schedule.
-    if (opt.exec.compiled) {
-      std::fprintf(stderr,
-                   "--backend compiled replays the fault-free schedule; "
-                   "--faults/--resilient need the engine\n");
-      return 2;
-    }
-    const auto* scheme = runtime::SchemeRegistry::instance().find(opt.scheme);
-    if (scheme == nullptr) {
-      std::fprintf(stderr, "unknown registry scheme '%s' for a faulted run\n",
-                   opt.scheme.c_str());
-      return 2;
-    }
-    runtime::SchemeOptions sopt;
-    sopt.resilient = opt.resilient;
-    runtime::ExecutionConfig exec = opt.exec;
-    if (exec.max_rounds == 0) {
-      // Retries stretch past the fault-free theorem bound; give faulted
-      // runs a generous linear budget instead of the scheme default.
-      exec.max_rounds = 64 * std::max<std::uint64_t>(g.node_count(), 16);
-    }
-    const auto plan = scheme->label(g, opt.source, sopt);
-    const auto run =
-        runtime::run_with_plan(*scheme, g, opt.source, plan, sopt, exec);
-    const std::string faults = sim::format_fault_plan(opt.exec.faults);
-    std::printf("scheme=%s faults=[%s]%s ok=%s informed=%s rounds=%llu "
-                "completion=%llu\n",
-                opt.scheme.c_str(), faults.c_str(),
-                opt.resilient ? " resilient" : "", run.ok ? "yes" : "NO",
-                run.all_informed ? "all" : "NOT-ALL",
-                static_cast<unsigned long long>(run.rounds),
-                static_cast<unsigned long long>(run.completion_round));
-    return run.ok ? 0 : 1;
-  }
-  if (opt.exec.compiled && opt.scheme == "onebit") {
+  const auto* scheme = runtime::SchemeRegistry::instance().find(opt.scheme);
+  if (scheme == nullptr) return unknown_scheme(opt.scheme);
+  const bool faulted = opt.exec.faults.enabled() || opt.resilient;
+  if (faulted && opt.exec.compiled) {
     std::fprintf(stderr,
-                 "--backend compiled requires --scheme b, ack, or arb (the "
-                 "compiled schedules replay the label-determined "
-                 "algorithms)\n");
+                 "--backend compiled replays the fault-free schedule; "
+                 "--faults/--resilient need the engine\n");
     return 2;
   }
-  core::RunOptions run_opt;
-  run_opt.backend = opt.exec.backend;
-  run_opt.threads = opt.exec.threads;
-  run_opt.dispatch = opt.exec.dispatch;
-  if (opt.scheme == "b") {
-    const auto run = opt.exec.compiled
-                         ? core::run_broadcast_compiled(g, opt.source, run_opt)
-                         : core::run_broadcast(g, opt.source, run_opt);
-    std::printf("scheme=lambda(2-bit) backend=%s n=%u informed=%s rounds=%llu "
-                "bound=%llu ell=%u\n",
-                backend_display(opt), g.node_count(),
-                run.all_informed ? "all" : "NOT-ALL",
-                static_cast<unsigned long long>(run.completion_round),
-                static_cast<unsigned long long>(run.bound), run.ell);
-    return run.all_informed ? 0 : 1;
+  runtime::ExperimentSpec spec;
+  spec.scheme = opt.scheme;
+  spec.source = opt.source;
+  spec.options.resilient = opt.resilient;
+  spec.config = opt.exec;
+  if (faulted && spec.config.max_rounds == 0) {
+    // Retries stretch past the fault-free theorem bound; give faulted
+    // runs a generous linear budget instead of the scheme default.
+    spec.config.max_rounds =
+        64 * std::max<std::uint64_t>(g.node_count(), 16);
   }
-  if (opt.scheme == "ack") {
-    const auto run =
-        opt.exec.compiled
-            ? core::run_acknowledged_compiled(g, opt.source, run_opt)
-            : core::run_acknowledged(g, opt.source, run_opt);
-    std::printf("scheme=lambda_ack(3-bit) informed=%s t=%llu t'=%llu z=%u\n",
-                run.all_informed ? "all" : "NOT-ALL",
-                static_cast<unsigned long long>(run.completion_round),
-                static_cast<unsigned long long>(run.ack_round), run.z);
-    return run.all_informed && run.ack_round != 0 ? 0 : 1;
+  spec.label = "n=" + std::to_string(g.node_count()) +
+               " source=" + std::to_string(opt.source);
+  const auto run =
+      runtime::run_scheme(*scheme, g, spec.source, spec.options, spec.config);
+  std::string line = analysis::format_sweep({spec}, {run}).front();
+  if (opt.exec.faults.enabled()) {
+    line += " faults=[" + sim::format_fault_plan(opt.exec.faults) + "]";
   }
-  if (opt.scheme == "arb") {
-    const auto run = opt.exec.compiled
-                         ? core::run_arb_compiled(g, opt.source, 0, run_opt)
-                         : core::run_arbitrary(g, opt.source, 0, run_opt);
-    std::printf("scheme=lambda_arb(3-bit) ok=%s total_rounds=%llu "
-                "common_done=%llu T=%llu\n",
-                run.ok ? "yes" : "NO",
-                static_cast<unsigned long long>(run.total_rounds),
-                static_cast<unsigned long long>(run.done_round),
-                static_cast<unsigned long long>(run.T));
-    return run.ok ? 0 : 1;
-  }
-  if (opt.scheme == "onebit") {
-    const auto run =
-        onebit::run_onebit(g, opt.source,
-                           {.engine_backend = run_opt.backend,
-                            .engine_threads = run_opt.threads,
-                            .engine_dispatch = run_opt.dispatch});
-    std::printf("scheme=onebit ok=%s rounds=%llu ones=%u attempts=%u\n",
-                run.ok ? "yes" : "NO",
-                static_cast<unsigned long long>(run.completion_round),
-                run.ones, run.attempts);
-    return run.ok ? 0 : 1;
-  }
-  return usage();
+  if (opt.resilient) line += " resilient";
+  std::printf("%s\n", line.c_str());
+  return run.ok ? 0 : 1;
 }
 
 int cmd_verify(const graph::Graph& g, const Options& opt) {
@@ -395,14 +350,7 @@ int cmd_sweep(int argc, char** argv) {
         continue;
       }
       if (cur.empty()) continue;
-      if (registry.find(cur) == nullptr) {
-        std::fprintf(stderr, "unknown scheme '%s'; registered:", cur.c_str());
-        for (const auto* s : registry.schemes()) {
-          std::fprintf(stderr, " %s", std::string(s->name()).c_str());
-        }
-        std::fprintf(stderr, "\n");
-        return 2;
-      }
+      if (registry.find(cur) == nullptr) return unknown_scheme(cur);
       schemes.push_back(cur);
       cur.clear();
     }

@@ -9,7 +9,7 @@
 #include <string>
 #include <unistd.h>
 
-#include "core/runner.hpp"
+#include "core/protocols.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "sim/engine.hpp"

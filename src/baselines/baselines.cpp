@@ -1,10 +1,7 @@
 #include "baselines/baselines.hpp"
 
 #include <bit>
-#include <memory>
 
-#include "runtime/scheme.hpp"
-#include "sim/engine.hpp"
 #include "support/contracts.hpp"
 
 namespace radiocast::baselines {
@@ -87,44 +84,6 @@ std::optional<Message> DecayProtocol::on_round() {
 
 void DecayProtocol::on_hear(const Message& m) {
   if (m.kind == MsgKind::kData && !payload_) payload_ = m.payload;
-}
-
-// ---------------------------------------------------------------------------
-// Runners — thin forwarding wrappers over the registry schemes
-// ---------------------------------------------------------------------------
-
-namespace {
-
-BaselineRun to_baseline_run(const runtime::SchemeResult& r) {
-  BaselineRun out;
-  out.all_informed = r.all_informed;
-  out.completion_round = r.completion_round;
-  out.label_bits = r.label_bits;
-  return out;
-}
-
-}  // namespace
-
-BaselineRun run_round_robin(const graph::Graph& g, NodeId source,
-                            std::uint32_t mu) {
-  runtime::SchemeOptions opt;
-  opt.mu = mu;
-  return to_baseline_run(runtime::run_scheme("round-robin", g, source, opt));
-}
-
-BaselineRun run_color_robin(const graph::Graph& g, NodeId source,
-                            std::uint32_t mu) {
-  runtime::SchemeOptions opt;
-  opt.mu = mu;
-  return to_baseline_run(runtime::run_scheme("color-robin", g, source, opt));
-}
-
-BaselineRun run_decay(const graph::Graph& g, NodeId source, std::uint64_t seed,
-                      std::uint32_t mu) {
-  runtime::SchemeOptions opt;
-  opt.mu = mu;
-  opt.seed = seed;
-  return to_baseline_run(runtime::run_scheme("decay", g, source, opt));
 }
 
 }  // namespace radiocast::baselines

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "graph/coloring.hpp"
 #include "graph/graph.hpp"
 #include "sim/protocol.hpp"
 #include "support/rng.hpp"
@@ -112,19 +111,5 @@ class DecayProtocol final : public sim::Protocol {
   std::uint64_t round_ = 0;
   Rng rng_;
 };
-
-/// Completion statistics for one baseline execution.
-struct BaselineRun {
-  bool all_informed = false;
-  std::uint64_t completion_round = 0;
-  std::uint32_t label_bits = 0;  ///< bits a scheme needs per node
-};
-
-BaselineRun run_round_robin(const graph::Graph& g, NodeId source,
-                            std::uint32_t mu = 42);
-BaselineRun run_color_robin(const graph::Graph& g, NodeId source,
-                            std::uint32_t mu = 42);
-BaselineRun run_decay(const graph::Graph& g, NodeId source, std::uint64_t seed,
-                      std::uint32_t mu = 42);
 
 }  // namespace radiocast::baselines

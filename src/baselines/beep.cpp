@@ -1,10 +1,5 @@
 #include "baselines/beep.hpp"
 
-#include <memory>
-#include <vector>
-
-#include "runtime/scheme.hpp"
-#include "sim/engine.hpp"
 #include "support/contracts.hpp"
 
 namespace radiocast::baselines {
@@ -94,22 +89,6 @@ std::uint64_t BeepBroadcastProtocol::next_active_round() const {
       return round_ + 1;
   }
   return kAlwaysActive;
-}
-
-BeepRun run_beep(const graph::Graph& g, graph::NodeId source, std::uint32_t mu,
-                 std::uint32_t bits) {
-  // Thin forwarding wrapper over the "beep" registry scheme (which forces
-  // the engine's collision-detection signal on).
-  RC_EXPECTS(source < g.node_count());
-  runtime::SchemeOptions opt;
-  opt.mu = mu;
-  opt.frame_bits = bits;
-  const auto r = runtime::run_scheme("beep", g, source, opt);
-  BeepRun out;
-  out.ok = r.ok;
-  out.completion_round = r.completion_round;
-  out.frame_bits = bits;
-  return out;
 }
 
 }  // namespace radiocast::baselines

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "graph/graph.hpp"
 #include "sim/protocol.hpp"
 
 namespace radiocast::baselines {
@@ -71,16 +70,5 @@ class BeepBroadcastProtocol final : public sim::Protocol {
   std::uint32_t decoded_count_ = 0;
   bool energy_this_round_ = false;
 };
-
-/// Result of an anonymous beep broadcast.
-struct BeepRun {
-  bool ok = false;                 ///< everyone decoded exactly µ
-  std::uint64_t completion_round = 0;
-  std::uint32_t frame_bits = 0;
-};
-
-/// Runs the beep protocol (engine in collision-detection mode).
-BeepRun run_beep(const graph::Graph& g, graph::NodeId source, std::uint32_t mu,
-                 std::uint32_t bits);
 
 }  // namespace radiocast::baselines

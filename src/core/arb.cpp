@@ -1,7 +1,5 @@
 #include "core/arb.hpp"
 
-#include "support/contracts.hpp"
-
 namespace radiocast::core {
 
 using sim::Message;
@@ -163,9 +161,10 @@ void ArbProtocol::on_hear(const Message& m) {
     if (!mu_) mu_ = m.payload;
     if (done_round_ == 0 && phase3_.informed() && T_known_) {
       // Wait T - t_v rounds after the phase-3 reception (paper §4 step 3).
+      // T dominates every t_v only in the fault-free model; a node that
+      // sees t_v > T (a lost phase-1 reception) stays undecided.
       const std::uint64_t tv = t_v();
-      RC_ASSERT_MSG(T_ >= tv, "T must dominate every t_v");
-      done_round_ = r + (T_ - tv);
+      if (T_ >= tv) done_round_ = r + (T_ - tv);
     }
   }
 }

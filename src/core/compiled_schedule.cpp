@@ -4,6 +4,8 @@
 #include <optional>
 #include <utility>
 
+#include "core/protocols.hpp"
+
 namespace radiocast::core {
 
 using sim::Message;
@@ -347,7 +349,7 @@ CompiledAckRunner::CompiledAckRunner(const Graph& g, const Labeling& labeling,
       backend_(sim::make_engine_backend(g, backend, threads)) {
   const auto n = g.node_count();
   if (max_rounds == 0) {
-    max_rounds = 6 * std::max<std::uint64_t>(n, 2) + 16;  // run_acknowledged
+    max_rounds = default_round_budget(n, 6);  // the "ack" scheme's budget
   }
   if (n <= 1) {
     exec_.offsets.push_back(0);
@@ -460,7 +462,7 @@ CompiledArbRunner::CompiledArbRunner(const Graph& g,
   const auto n = g.node_count();
   RC_EXPECTS_MSG(n >= 2, "B_arb needs at least two nodes");
   if (max_rounds == 0) {
-    max_rounds = 16 * std::max<std::uint64_t>(n, 2) + 16;  // run_arbitrary
+    max_rounds = default_round_budget(n, 16);  // the "arb" scheme's budget
   }
   const NodeId coord = labeling.coordinator;
   prediction_.coordinator = coord;
@@ -634,7 +636,7 @@ CompiledArbRunner::CompiledArbRunner(const Graph& g,
       }
       hear(w, m, r);
     }
-    if (count_mu == n && count_done == n) break;  // run_arbitrary predicate
+    if (count_mu == n && count_done == n) break;  // ArbScheme::done
   }
 
   prediction_.total_rounds = builder.exec.rounds;
@@ -646,7 +648,7 @@ CompiledArbRunner::CompiledArbRunner(const Graph& g,
       prediction_.max_stamp = std::max(prediction_.max_stamp, *m.stamp);
     }
   }
-  // Mirror run_arbitrary's verdict loop field for field.
+  // Mirror ArbScheme::collect's verdict loop field for field.
   bool ok = true;
   std::uint64_t done = 0;
   for (NodeId v = 0; v < n; ++v) {

@@ -128,8 +128,8 @@ class CompiledScheduleRunner {
   sim::RoundResolution resolution_;
 };
 
-/// Compile-time prediction of the quantities `run_acknowledged` reads off
-/// the engine (Theorem 3.9 observables).
+/// Compile-time prediction of the quantities the "ack" scheme reads off the
+/// engine (Theorem 3.9 observables).
 struct AckPrediction {
   bool all_informed = false;           ///< every protocol informed
   std::uint64_t rounds = 0;            ///< engine rounds executed
@@ -145,7 +145,7 @@ struct AckPrediction {
 class CompiledAckRunner {
  public:
   /// `max_rounds` bounds the prediction exactly like the engine's round
-  /// budget bounds `run_until` (0 = the `run_acknowledged` default, 6n+16).
+  /// budget bounds `run_until` (0 = the "ack" scheme's default, 6n+16).
   CompiledAckRunner(const Graph& g, const Labeling& labeling, std::uint32_t mu,
                     sim::BackendKind backend = sim::BackendKind::kAuto,
                     std::size_t threads = 0, std::uint64_t max_rounds = 0);
@@ -167,7 +167,7 @@ class CompiledAckRunner {
   sim::RoundResolution resolution_;
 };
 
-/// Compile-time prediction of the quantities `run_arbitrary` reads off the
+/// Compile-time prediction of the quantities the "arb" scheme reads off the
 /// engine (§4 observables).
 struct ArbPrediction {
   bool ok = false;                     ///< all nodes learned µ, agree on done

@@ -23,9 +23,6 @@
 #include <vector>
 
 #include "core/protocols.hpp"
-#include "graph/graph.hpp"
-#include "sim/backend.hpp"
-#include "sim/dispatch.hpp"
 
 namespace radiocast::core {
 
@@ -84,21 +81,5 @@ class MultiMessageProtocol final : public sim::Protocol {
   std::vector<std::uint32_t> received_;
   std::vector<std::uint64_t> ack_rounds_;
 };
-
-/// Result of a multi-message acknowledged session.
-struct MultiRun {
-  bool ok = false;  ///< all payloads delivered to all nodes, in order
-  std::vector<std::uint64_t> ack_rounds;  ///< source's ack round per message
-  std::uint64_t total_rounds = 0;
-  /// Rounds between consecutive acks (constant by determinism).
-  std::uint64_t rounds_per_message = 0;
-};
-
-MultiRun run_multi_broadcast(
-    const Graph& g, NodeId source, const std::vector<std::uint32_t>& payloads,
-    DomPolicy policy = DomPolicy::kAscendingId,
-    sim::BackendKind backend = sim::BackendKind::kAuto,
-    std::size_t threads = 0,
-    sim::DispatchKind dispatch = sim::DispatchKind::kAuto);
 
 }  // namespace radiocast::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/arb.hpp"
 #include "sim/faults.hpp"
 #include "support/contracts.hpp"
 
@@ -357,6 +358,58 @@ std::uint64_t CommonRoundProtocol::knows_done_at() const noexcept {
 std::uint64_t CommonRoundProtocol::learned_m_stamp() const noexcept {
   if (m_value_ == 0) return 0;
   return phase2_.is_origin() ? m_value_ : phase2_.informed_stamp();
+}
+
+std::vector<std::unique_ptr<sim::Protocol>> make_broadcast_protocols(
+    const Labeling& labeling, std::uint32_t mu) {
+  std::vector<std::unique_ptr<sim::Protocol>> out;
+  out.reserve(labeling.labels.size());
+  for (NodeId v = 0; v < labeling.labels.size(); ++v) {
+    out.push_back(std::make_unique<BroadcastProtocol>(
+        labeling.labels[v],
+        v == labeling.source ? std::optional<std::uint32_t>(mu)
+                             : std::nullopt));
+  }
+  return out;
+}
+
+std::vector<std::unique_ptr<sim::Protocol>> make_ack_protocols(
+    const Labeling& labeling, std::uint32_t mu, bool resilient) {
+  std::vector<std::unique_ptr<sim::Protocol>> out;
+  out.reserve(labeling.labels.size());
+  for (NodeId v = 0; v < labeling.labels.size(); ++v) {
+    out.push_back(std::make_unique<AckBroadcastProtocol>(
+        labeling.labels[v],
+        v == labeling.source ? std::optional<std::uint32_t>(mu)
+                             : std::nullopt,
+        resilient));
+  }
+  return out;
+}
+
+std::vector<std::unique_ptr<sim::Protocol>> make_common_round_protocols(
+    const Labeling& labeling, std::uint32_t mu) {
+  std::vector<std::unique_ptr<sim::Protocol>> out;
+  out.reserve(labeling.labels.size());
+  for (NodeId v = 0; v < labeling.labels.size(); ++v) {
+    out.push_back(std::make_unique<CommonRoundProtocol>(
+        labeling.labels[v],
+        v == labeling.source ? std::optional<std::uint32_t>(mu)
+                             : std::nullopt));
+  }
+  return out;
+}
+
+std::vector<std::unique_ptr<sim::Protocol>> make_arb_protocols(
+    const ArbLabeling& labeling, NodeId source, std::uint32_t mu) {
+  std::vector<std::unique_ptr<sim::Protocol>> out;
+  out.reserve(labeling.labels.size());
+  for (NodeId v = 0; v < labeling.labels.size(); ++v) {
+    out.push_back(std::make_unique<ArbProtocol>(
+        labeling.labels[v],
+        v == source ? std::optional<std::uint32_t>(mu) : std::nullopt));
+  }
+  return out;
 }
 
 }  // namespace radiocast::core

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -251,5 +252,27 @@ class CommonRoundProtocol final : public sim::Protocol {
   std::uint64_t ack_heard_stamp_ = 0;
   std::uint64_t m_value_ = 0;  // source: round of first ack; others: payload
 };
+
+/// The default engine round budget of the label-determined schemes and
+/// their compiled fast paths (linear in n with slack; `factor` is
+/// per-algorithm).
+inline std::uint64_t default_round_budget(std::uint32_t n,
+                                          std::uint64_t factor) {
+  return factor * std::max<std::uint64_t>(n, 2) + 16;
+}
+
+/// One protocol per labeled node, the source holding `mu`: the distributed
+/// half the registry schemes run, and what tests driving an Engine by hand
+/// build.
+std::vector<std::unique_ptr<sim::Protocol>> make_broadcast_protocols(
+    const Labeling& labeling, std::uint32_t mu);
+/// `resilient`: opt into B_ack's loss-tolerant retry mode (see
+/// AckBroadcastProtocol); the default is the paper's exact algorithm.
+std::vector<std::unique_ptr<sim::Protocol>> make_ack_protocols(
+    const Labeling& labeling, std::uint32_t mu, bool resilient = false);
+std::vector<std::unique_ptr<sim::Protocol>> make_common_round_protocols(
+    const Labeling& labeling, std::uint32_t mu);
+std::vector<std::unique_ptr<sim::Protocol>> make_arb_protocols(
+    const ArbLabeling& labeling, NodeId source, std::uint32_t mu);
 
 }  // namespace radiocast::core

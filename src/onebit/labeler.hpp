@@ -29,8 +29,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "sim/backend.hpp"
-#include "sim/dispatch.hpp"
 #include "support/rng.hpp"
 
 namespace radiocast::onebit {
@@ -42,15 +40,6 @@ struct OneBitOptions {
   std::uint32_t max_attempts = 64;  ///< randomized restarts
   std::uint64_t seed = 0;
   std::uint64_t max_stages = 0;  ///< 0 = 4n + 8 (stall safety net)
-  /// Engine backend for the runners' validation executions (the labeling
-  /// search itself replays closed-form dynamics and ignores this).
-  sim::BackendKind engine_backend = sim::BackendKind::kAuto;
-  /// Worker threads for the sharded backend (0 = hardware concurrency).
-  std::size_t engine_threads = 0;
-  /// Protocol-dispatch strategy for the validation engines.  The one-bit
-  /// runners reuse the B / B_ack protocols, whose stage arithmetic provides
-  /// activity hints, so kAuto resolves to the active set.
-  sim::DispatchKind engine_dispatch = sim::DispatchKind::kAuto;
 };
 
 struct OneBitResult {
@@ -73,5 +62,12 @@ OneBitResult find_onebit_labeling(const Graph& g, NodeId source,
 std::uint64_t onebit_completion_round(const Graph& g, NodeId source,
                                       const std::vector<bool>& bits,
                                       std::uint64_t max_stages = 0);
+
+/// Lowest-id node whose first reception happens in the final B1 wave — the
+/// z marker of the acknowledged variant (the "onebit-ack" scheme).  Replays
+/// the closed-form dynamics; `bits` must be a labeling under which broadcast
+/// completes.
+NodeId last_informed_node(const Graph& g, NodeId source,
+                          const std::vector<bool>& bits);
 
 }  // namespace radiocast::onebit

@@ -140,6 +140,8 @@ SchemeResult run_with_plan(const Scheme& scheme, const Graph& g,
 SchemeResult run_scheme(const Scheme& scheme, const Graph& g, NodeId source,
                         const SchemeOptions& opt,
                         const ExecutionConfig& config) {
+  // Checked before labeling: label() may index by the source.
+  RC_EXPECTS(source < g.node_count());
   return run_with_plan(scheme, g, source, scheme.label(g, source, opt), opt,
                        config);
 }

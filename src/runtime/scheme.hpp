@@ -18,8 +18,8 @@
 /// `run_scheme` executes any registered scheme through one polymorphic
 /// path — engine construction, round budget, stop predicate, observable
 /// extraction — so a new scenario is a registry entry, not a new plumbing
-/// stack.  The historical free functions (`core::run_broadcast` etc.) are
-/// thin forwarding wrappers over this layer and remain bit-exact.
+/// stack.  It is the one way to run a scheme: tests, the bench harness, the
+/// examples and both front ends all call it.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +49,8 @@ struct SchemeOptions {
   core::DomPolicy policy = core::DomPolicy::kAscendingId;
   std::uint64_t seed = 0;       ///< labeling tie-break / randomized schemes
   NodeId coordinator = 0;       ///< B_arb's labeled coordinator r
-  std::vector<std::uint32_t> payloads;  ///< multi-message schedule (empty =
-                                        ///< the single message `mu`)
+  std::vector<std::uint32_t> payloads = {};  ///< multi-message schedule
+                                             ///< (empty = send `mu` once)
   std::uint32_t frame_bits = 8;     ///< beep frame width L
   std::uint32_t max_attempts = 64;  ///< one-bit labeling restarts
   std::uint64_t max_stages = 0;     ///< one-bit stall cap (0 = 4n + 8)
@@ -86,8 +86,8 @@ struct CompiledPlan {
 using CompiledPlanPtr = std::shared_ptr<const CompiledPlan>;
 
 /// The union of observables the schemes report.  `ok` is the scheme's own
-/// success verdict; the remaining fields mirror the historical per-scheme
-/// result structs field for field so the forwarding wrappers are lossless.
+/// success verdict; each scheme fills the remaining fields its algorithm
+/// defines and leaves the others at their defaults.
 struct SchemeResult {
   bool ok = false;             ///< scheme-specific success verdict
   bool all_informed = false;   ///< every node holds the source message
@@ -243,6 +243,7 @@ class SchemeRegistry {
 };
 
 /// Uniform execution: label, then run (engine or compiled fast path).
+/// Requires `source < g.node_count()`, checked before labeling.
 SchemeResult run_scheme(const Scheme& scheme, const Graph& g, NodeId source,
                         const SchemeOptions& opt = {},
                         const ExecutionConfig& config = {});

@@ -9,14 +9,13 @@
 
 #include "baselines/baselines.hpp"
 #include "baselines/beep.hpp"
+#include "core/arb.hpp"
 #include "core/compiled_schedule.hpp"
 #include "core/multi.hpp"
 #include "core/protocols.hpp"
-#include "core/runner.hpp"
 #include "core/verifier.hpp"
 #include "graph/coloring.hpp"
 #include "onebit/labeler.hpp"
-#include "onebit/runner.hpp"
 #include "runtime/scheme.hpp"
 #include "support/bytes.hpp"
 #include "support/contracts.hpp"
@@ -1384,8 +1383,8 @@ class BeepScheme final : public Scheme {
       ok = p.decoded().has_value() && *p.decoded() == opt.mu;
     }
     out.ok = ok;
-    // Historical BeepRun convention: the round count, not the last
-    // first-data reception (decoding finishes after the last beep).
+    // The round count, not the last first-data reception: decoding
+    // finishes after the last beep.
     out.completion_round = e.round();
     out.label_bits = 0;
   }

@@ -61,7 +61,14 @@ bool write_all(int fd, std::string_view bytes) {
 Server::Server(runtime::SweepRunner& runner, ServerOptions options)
     : runner_(runner), options_(std::move(options)) {}
 
-Server::~Server() { stop(); }
+Server::~Server() {
+  stop();
+  // A connection thread that ran stop() for a shutdown request detached
+  // itself and may still be inside it; wait until every connection thread
+  // is past its last touch of this object.
+  std::unique_lock<std::mutex> lock(mu_);
+  stopped_cv_.wait(lock, [this] { return live_workers_ == 0; });
+}
 
 void Server::start() {
   RC_EXPECTS_MSG(!running(), "server already started");
@@ -207,7 +214,13 @@ void Server::accept_loop() {
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
     conns_.push_back(conn);
-    workers_.emplace_back([this, conn] { serve_connection(conn); });
+    ++live_workers_;
+    workers_.emplace_back([this, conn] {
+      serve_connection(conn);
+      const std::lock_guard<std::mutex> lock(mu_);
+      --live_workers_;
+      stopped_cv_.notify_all();
+    });
   }
 }
 

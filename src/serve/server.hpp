@@ -160,7 +160,9 @@ class Server {
   std::uint16_t bound_port_ = 0;
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
+  std::size_t live_workers_ = 0;  ///< connection threads not yet finished
   std::vector<std::shared_ptr<Conn>> conns_;
+  /// Signals running_ turning false and live_workers_ dropping.
   std::condition_variable stopped_cv_;
 };
 

@@ -5,8 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "analysis/experiments.hpp"
-#include "core/runner.hpp"
+#include "core/protocols.hpp"
 #include "graph/generators.hpp"
+#include "runtime/scheme.hpp"
 #include "sim/engine.hpp"
 #include "support/rng.hpp"
 
@@ -16,26 +17,26 @@ namespace {
 using graph::NodeId;
 
 TEST(Ack, TwoNodeChain) {
-  const auto run = run_acknowledged(graph::path(2), 0);
+  const auto run = runtime::run_scheme("ack", graph::path(2), 0);
   EXPECT_TRUE(run.all_informed);
   EXPECT_EQ(run.completion_round, 1u);
   EXPECT_EQ(run.ack_round, 2u);
-  EXPECT_EQ(run.z, 1u);
+  EXPECT_EQ(run.special, 1u);
 }
 
 TEST(Ack, PathChainTiming) {
   // Path 0-1-2, source 0: informed by 3, z = 2 acks at 4, node 1 forwards at
   // 5, source hears at 5 (= 3ℓ-4 with ℓ=3).
-  const auto run = run_acknowledged(graph::path(3), 0);
+  const auto run = runtime::run_scheme("ack", graph::path(3), 0);
   EXPECT_EQ(run.completion_round, 3u);
   EXPECT_EQ(run.ack_round, 5u);
 }
 
 TEST(Ack, Figure1AckArrives) {
-  const auto run = run_acknowledged(graph::figure1(), 0);
+  const auto run = runtime::run_scheme("ack", graph::figure1(), 0);
   EXPECT_TRUE(run.all_informed);
   EXPECT_EQ(run.completion_round, 7u);
-  EXPECT_EQ(run.z, 12u);  // H
+  EXPECT_EQ(run.special, 12u);  // H
   // Corollary 3.8 window: [2ℓ-2, 3ℓ-4] = [8, 11] for ℓ = 5.
   EXPECT_GE(run.ack_round, 8u);
   EXPECT_LE(run.ack_round, 11u);
@@ -44,7 +45,7 @@ TEST(Ack, Figure1AckArrives) {
 TEST(Ack, Corollary38WindowAcrossFamilies) {
   const auto suite = analysis::standard_suite(22, 5);
   for (const auto& w : suite) {
-    const auto run = run_acknowledged(w.graph, w.source);
+    const auto run = runtime::run_scheme("ack", w.graph, w.source);
     ASSERT_TRUE(run.all_informed) << w.family;
     ASSERT_NE(run.ack_round, 0u) << w.family;
     const std::uint64_t ell = run.ell;
@@ -62,7 +63,7 @@ TEST(Ack, PaperWindowOffByOneOnPaths) {
   // ℓ = n on end-sourced paths: t' = t + n - 1 > t + n - 2.  This documents
   // the (benign) discrepancy in the stated Theorem 3.9 range.
   for (const std::uint32_t n : {2u, 3u, 6u, 12u}) {
-    const auto run = run_acknowledged(graph::path(n), 0);
+    const auto run = runtime::run_scheme("ack", graph::path(n), 0);
     EXPECT_EQ(run.ell, n);
     EXPECT_EQ(run.ack_round, run.completion_round + n - 1) << "n=" << n;
   }
@@ -164,7 +165,7 @@ TEST(Ack, AckChainDescendsInformedRounds) {
 
 TEST(Ack, StampsStayLogarithmic) {
   // The O(log n) message-size claim: max stamp <= ack completion round <= 3n.
-  const auto run = run_acknowledged(graph::path(40), 0);
+  const auto run = runtime::run_scheme("ack", graph::path(40), 0);
   EXPECT_LE(run.max_stamp, 3ull * 40);
   EXPECT_GE(run.max_stamp, run.completion_round);
 }
@@ -173,7 +174,7 @@ TEST(Ack, AllSourcesFuzz) {
   Rng rng(53);
   const auto g = graph::gnp_connected(12, 0.2, rng);
   for (NodeId s = 0; s < g.node_count(); ++s) {
-    const auto run = run_acknowledged(g, s);
+    const auto run = runtime::run_scheme("ack", g, s);
     ASSERT_TRUE(run.all_informed) << "source " << s;
     ASSERT_NE(run.ack_round, 0u) << "source " << s;
     EXPECT_GT(run.ack_round, run.completion_round);
@@ -184,20 +185,20 @@ TEST(Ack, AllSourcesFuzz) {
 // -----------------------------------------------------
 
 TEST(CommonRound, AllNodesAgreeOn2m) {
-  const auto run = run_common_round(graph::figure1(), 0);
+  const auto run = runtime::run_scheme("common-round", graph::figure1(), 0);
   EXPECT_TRUE(run.ok);
   // m = first ack round (9 on figure-1: z informed at 7, ack at 8, one hop to
   // B at 9?  m is measured, just check consistency).
-  EXPECT_EQ(run.common_round, 2 * run.m);
-  EXPECT_LT(run.last_learned, run.common_round);
+  EXPECT_EQ(run.done_round, 2 * run.T);
+  EXPECT_LT(run.last_learned, run.done_round);
 }
 
 TEST(CommonRound, HoldsAcrossFamilies) {
   const auto suite = analysis::quick_suite(20, 77);
   for (const auto& w : suite) {
-    const auto run = run_common_round(w.graph, w.source);
+    const auto run = runtime::run_scheme("common-round", w.graph, w.source);
     EXPECT_TRUE(run.ok) << w.family;
-    EXPECT_LT(run.last_learned, run.common_round) << w.family;
+    EXPECT_LT(run.last_learned, run.done_round) << w.family;
   }
 }
 
@@ -205,14 +206,15 @@ TEST(CommonRound, EveryNodeLearnsMBeforeRound2m) {
   Rng rng(54);
   for (int rep = 0; rep < 8; ++rep) {
     const auto g = graph::gnp_connected(15, 0.18, rng);
-    const auto run = run_common_round(g, 0);
+    const auto run = runtime::run_scheme("common-round", g, 0);
     ASSERT_TRUE(run.ok);
-    EXPECT_LT(run.last_learned, 2 * run.m);
+    EXPECT_LT(run.last_learned, 2 * run.T);
   }
 }
 
 TEST(CommonRound, RequiresTwoNodes) {
-  EXPECT_THROW(run_common_round(graph::path(1), 0), ContractViolation);
+  EXPECT_THROW(runtime::run_scheme("common-round", graph::path(1), 0),
+               ContractViolation);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "graph/enumerate.hpp"
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
+#include "runtime/scheme.hpp"
 #include "support/rng.hpp"
 
 namespace radiocast::baselines {
@@ -21,12 +22,14 @@ TEST(Beep, FourCycleSucceedsWhereUndetectableCollisionsFail) {
   const auto g = graph::cycle(4);
   const std::vector<std::uint32_t> plain(4, 0);
   ASSERT_TRUE(analysis::analyze_symmetry(g, plain, 0).broadcast_blocked);
-  const auto run = run_beep(g, 0, 0b1011, 4);
+  const auto run = runtime::run_scheme("beep", g, 0,
+                                       {.mu = 0b1011, .frame_bits = 4});
   EXPECT_TRUE(run.ok);
 }
 
 TEST(Beep, SingleEdgeDelivery) {
-  const auto run = run_beep(graph::path(2), 0, 0b101, 3);
+  const auto run = runtime::run_scheme("beep", graph::path(2), 0,
+                                       {.mu = 0b101, .frame_bits = 3});
   EXPECT_TRUE(run.ok);
   // One frame = start beep + 3 bits (rounds 1..4); the receiver recognizes
   // the (possibly silent) final bit at the start of round 5.
@@ -36,7 +39,8 @@ TEST(Beep, SingleEdgeDelivery) {
 TEST(Beep, AllZeroAndAllOneMessages) {
   // Silence-heavy and energy-heavy frames both decode (framing is explicit).
   for (const std::uint32_t mu : {0b0000u, 0b1111u, 0b1000u, 0b0001u}) {
-    const auto run = run_beep(graph::path(5), 0, mu, 4);
+    const auto run = runtime::run_scheme("beep", graph::path(5), 0,
+                                         {.mu = mu, .frame_bits = 4});
     EXPECT_TRUE(run.ok) << "mu=" << mu;
   }
 }
@@ -46,7 +50,8 @@ TEST(Beep, CompletionIsEccTimesFrame) {
   const std::uint32_t bits = 8;
   for (const std::uint32_t n : {4u, 9u, 17u}) {
     const auto g = graph::path(n);
-    const auto run = run_beep(g, 0, 0xA5u, bits);
+    const auto run = runtime::run_scheme("beep", g, 0,
+                                         {.mu = 0xA5u, .frame_bits = bits});
     ASSERT_TRUE(run.ok);
     const std::uint64_t ecc = graph::eccentricity(g, 0);
     EXPECT_LE(run.completion_round, (ecc + 1) * (bits + 1) + 1) << "n=" << n;
@@ -67,7 +72,8 @@ TEST(Beep, WorksOnAllBlockedSymmetricFamilies) {
     const std::vector<std::uint32_t> plain(g.node_count(), 0);
     ASSERT_TRUE(analysis::analyze_symmetry(g, plain, 0).broadcast_blocked)
         << g.summary();
-    const auto run = run_beep(g, 0, 0x2Au, 6);
+    const auto run = runtime::run_scheme("beep", g, 0,
+                                         {.mu = 0x2Au, .frame_bits = 6});
     EXPECT_TRUE(run.ok) << g.summary();
   }
 }
@@ -78,7 +84,8 @@ TEST(Beep, ExhaustiveSmallGraphs) {
   for (std::uint32_t n = 2; n <= 5; ++n) {
     graph::for_each_connected_graph(n, [&](const graph::Graph& g) {
       for (graph::NodeId s = 0; s < n; ++s) {
-        const auto run = run_beep(g, s, 0b110, 3);
+        const auto run = runtime::run_scheme("beep", g, s,
+                                             {.mu = 0b110, .frame_bits = 3});
         ASSERT_TRUE(run.ok) << g.summary() << " source " << s;
       }
     });
@@ -91,14 +98,16 @@ TEST(Beep, RandomGraphsRandomPayloads) {
     const auto n = 5 + static_cast<std::uint32_t>(rng.below(40));
     const auto g = graph::gnp_connected(n, 0.15, rng);
     const auto mu = static_cast<std::uint32_t>(rng.below(1u << 16));
+    const auto source = static_cast<graph::NodeId>(rng.below(n));
     const auto run =
-        run_beep(g, static_cast<graph::NodeId>(rng.below(n)), mu, 16);
+        runtime::run_scheme("beep", g, source, {.mu = mu, .frame_bits = 16});
     EXPECT_TRUE(run.ok) << "rep " << rep;
   }
 }
 
 TEST(Beep, WideFramesUpTo32Bits) {
-  const auto run = run_beep(graph::grid(4, 4), 0, 0xDEADBEEFu, 32);
+  const auto run = runtime::run_scheme("beep", graph::grid(4, 4), 0,
+                                       {.mu = 0xDEADBEEFu, .frame_bits = 32});
   EXPECT_TRUE(run.ok);
 }
 
@@ -109,7 +118,8 @@ TEST(Beep, RejectsOversizedMessage) {
 
 TEST(Beep, SuiteSweep) {
   for (const auto& w : analysis::quick_suite(24, 4242)) {
-    const auto run = run_beep(w.graph, w.source, 0x5Bu, 7);
+    const auto run = runtime::run_scheme("beep", w.graph, w.source,
+                                         {.mu = 0x5Bu, .frame_bits = 7});
     EXPECT_TRUE(run.ok) << w.family;
   }
 }

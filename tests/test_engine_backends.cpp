@@ -14,12 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "core/arb.hpp"
 #include "core/compiled_schedule.hpp"
-#include "core/runner.hpp"
+#include "core/protocols.hpp"
 #include "core/schedule.hpp"
 #include "graph/bit_adjacency.hpp"
 #include "graph/generators.hpp"
-#include "onebit/runner.hpp"
+#include "runtime/scheme.hpp"
 #include "sim/backend.hpp"
 #include "sim/engine.hpp"
 #include "support/rng.hpp"
@@ -393,12 +394,11 @@ TEST(BackendDifferential, HybridBroadcastAtBitmapScale) {
   // hybrid backend and must reproduce the scalar run exactly.
   Rng rng(123);
   const Graph g = graph::sparse_gnp_connected(70000, 6.0, rng);
-  core::RunOptions opt;
-  const auto hybrid = core::run_broadcast(g, 0, opt);  // kAuto → hybrid
+  const auto hybrid = runtime::run_scheme("b", g, 0);  // kAuto → hybrid
   EXPECT_TRUE(hybrid.all_informed);
   EXPECT_LE(hybrid.completion_round, hybrid.bound);
-  opt.backend = sim::BackendKind::kScalar;
-  const auto scalar = core::run_broadcast(g, 0, opt);
+  const auto scalar = runtime::run_scheme(
+      "b", g, 0, {}, {.backend = sim::BackendKind::kScalar});
   EXPECT_EQ(hybrid.completion_round, scalar.completion_round);
   EXPECT_EQ(hybrid.data_tx_count, scalar.data_tx_count);
   EXPECT_EQ(hybrid.stay_count, scalar.stay_count);
@@ -469,11 +469,10 @@ TEST(BackendDifferential, AcknowledgedBroadcastScalarVsBit) {
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const Graph& g = graphs[i];
     if (g.node_count() < 2) continue;
-    core::RunOptions opt;
-    opt.backend = sim::BackendKind::kScalar;
-    const auto scalar = core::run_acknowledged(g, 0, opt);
-    opt.backend = sim::BackendKind::kBit;
-    const auto bit = core::run_acknowledged(g, 0, opt);
+    const auto scalar = runtime::run_scheme(
+        "ack", g, 0, {}, {.backend = sim::BackendKind::kScalar});
+    const auto bit = runtime::run_scheme(
+        "ack", g, 0, {}, {.backend = sim::BackendKind::kBit});
     const std::string what = "graph " + std::to_string(i) + " " + g.summary();
     EXPECT_EQ(scalar.all_informed, bit.all_informed) << what;
     EXPECT_EQ(scalar.completion_round, bit.completion_round) << what;
@@ -483,19 +482,18 @@ TEST(BackendDifferential, AcknowledgedBroadcastScalarVsBit) {
 }
 
 // ---------------------------------------------------------------------------
-// Runner-level equivalence: run_broadcast across backends + compiled variant.
+// Scheme-level equivalence: "b" across backends + the compiled replay.
 
 TEST(BackendDifferential, RunnersAgreeAcrossBackends) {
   const auto graphs = random_graphs(15, 0x5EED);
   for (const auto& g : graphs) {
-    core::RunOptions opt;
-    opt.trace = sim::TraceLevel::kFull;
-    opt.backend = sim::BackendKind::kScalar;
-    const auto scalar = core::run_broadcast(g, 0, opt);
-    opt.backend = sim::BackendKind::kBit;
-    const auto bit = core::run_broadcast(g, 0, opt);
-    opt.backend = sim::BackendKind::kAuto;
-    const auto compiled = core::run_broadcast_compiled(g, 0, opt);
+    runtime::ExecutionConfig exec{.backend = sim::BackendKind::kScalar,
+                                  .trace = sim::TraceLevel::kFull};
+    const auto scalar = runtime::run_scheme("b", g, 0, {}, exec);
+    exec.backend = sim::BackendKind::kBit;
+    const auto bit = runtime::run_scheme("b", g, 0, {}, exec);
+    const auto compiled = runtime::run_scheme("b", g, 0, {},
+                                              {.compiled = true});
     EXPECT_TRUE(scalar.all_informed) << g.summary();
     for (const auto* run : {&bit, &compiled}) {
       EXPECT_EQ(run->all_informed, scalar.all_informed) << g.summary();
@@ -512,10 +510,10 @@ TEST(BackendDifferential, OneBitRunnerAgreesAcrossBackends) {
   Rng rng(77);
   for (int i = 0; i < 6; ++i) {
     const Graph g = graph::grid(2 + i, 3 + i);
-    const auto scalar =
-        onebit::run_onebit(g, 0, {.engine_backend = sim::BackendKind::kScalar});
-    const auto bit =
-        onebit::run_onebit(g, 0, {.engine_backend = sim::BackendKind::kBit});
+    const auto scalar = runtime::run_scheme(
+        "onebit", g, 0, {}, {.backend = sim::BackendKind::kScalar});
+    const auto bit = runtime::run_scheme(
+        "onebit", g, 0, {}, {.backend = sim::BackendKind::kBit});
     EXPECT_EQ(scalar.ok, bit.ok) << g.summary();
     EXPECT_EQ(scalar.completion_round, bit.completion_round) << g.summary();
     EXPECT_EQ(scalar.ones, bit.ones) << g.summary();
@@ -586,8 +584,9 @@ TEST(CompiledAck, RunnerAgreesWithEngineRunner) {
     const Graph& g = graphs[i];
     if (g.node_count() < 2) continue;
     const NodeId source = static_cast<NodeId>(i % g.node_count());
-    const auto engine_run = core::run_acknowledged(g, source);
-    const auto compiled_run = core::run_acknowledged_compiled(g, source);
+    const auto engine_run = runtime::run_scheme("ack", g, source);
+    const auto compiled_run = runtime::run_scheme("ack", g, source, {},
+                                                  {.compiled = true});
     const std::string what = "graph " + std::to_string(i) + " " + g.summary();
     EXPECT_EQ(compiled_run.all_informed, engine_run.all_informed) << what;
     EXPECT_EQ(compiled_run.completion_round, engine_run.completion_round)
@@ -595,7 +594,7 @@ TEST(CompiledAck, RunnerAgreesWithEngineRunner) {
     EXPECT_EQ(compiled_run.ack_round, engine_run.ack_round) << what;
     EXPECT_EQ(compiled_run.max_stamp, engine_run.max_stamp) << what;
     EXPECT_EQ(compiled_run.ell, engine_run.ell) << what;
-    EXPECT_EQ(compiled_run.z, engine_run.z) << what;
+    EXPECT_EQ(compiled_run.special, engine_run.special) << what;
   }
 }
 
@@ -665,15 +664,16 @@ TEST(CompiledArb, RunnerAgreesWithEngineRunner) {
     const auto n = g.node_count();
     if (n < 2) continue;
     const NodeId source = static_cast<NodeId>((i + 1) % n);
-    const auto engine_run = core::run_arbitrary(g, source, 0);
-    const auto compiled_run = core::run_arb_compiled(g, source, 0);
+    const auto engine_run = runtime::run_scheme("arb", g, source);
+    const auto compiled_run = runtime::run_scheme("arb", g, source, {},
+                                                  {.compiled = true});
     const std::string what = "graph " + std::to_string(i) + " " + g.summary();
     EXPECT_TRUE(engine_run.ok) << what;
     EXPECT_EQ(compiled_run.ok, engine_run.ok) << what;
-    EXPECT_EQ(compiled_run.total_rounds, engine_run.total_rounds) << what;
+    EXPECT_EQ(compiled_run.rounds, engine_run.rounds) << what;
     EXPECT_EQ(compiled_run.done_round, engine_run.done_round) << what;
     EXPECT_EQ(compiled_run.T, engine_run.T) << what;
-    EXPECT_EQ(compiled_run.coordinator, engine_run.coordinator) << what;
+    EXPECT_EQ(compiled_run.special, engine_run.special) << what;
   }
 }
 

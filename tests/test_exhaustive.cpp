@@ -4,11 +4,12 @@
 // every source for the headline bound.
 #include <gtest/gtest.h>
 
-#include "core/runner.hpp"
+#include "core/protocols.hpp"
 #include "core/verifier.hpp"
 #include "graph/enumerate.hpp"
 #include "graph/traversal.hpp"
 #include "onebit/labeler.hpp"
+#include "runtime/scheme.hpp"
 #include "sim/engine.hpp"
 
 namespace radiocast::core {
@@ -47,7 +48,7 @@ TEST(Exhaustive, TheoremBound6Nodes) {
   std::uint64_t executions = 0;
   graph::for_each_connected_graph(6, [&](const graph::Graph& g) {
     for (NodeId s = 0; s < 6; ++s) {
-      const auto run = run_broadcast(g, s);
+      const auto run = runtime::run_scheme("b", g, s);
       ASSERT_TRUE(run.all_informed) << g.summary() << " source " << s;
       ASSERT_LE(run.completion_round, 9u);  // 2*6-3
       ASSERT_LE(run.ell, 6u);               // Lemma 2.6
@@ -61,7 +62,7 @@ TEST(Exhaustive, AcknowledgedUpTo5Nodes) {
   for (std::uint32_t n = 2; n <= 5; ++n) {
     graph::for_each_connected_graph(n, [&](const graph::Graph& g) {
       for (NodeId s = 0; s < n; ++s) {
-        const auto run = run_acknowledged(g, s);
+        const auto run = runtime::run_scheme("ack", g, s);
         ASSERT_TRUE(run.all_informed) << g.summary() << " source " << s;
         ASSERT_NE(run.ack_round, 0u) << g.summary() << " source " << s;
         // Corollary 3.8 window.
@@ -98,7 +99,8 @@ TEST(Exhaustive, ArbitrarySourceUpTo4Nodes) {
     graph::for_each_connected_graph(n, [&](const graph::Graph& g) {
       for (NodeId coord = 0; coord < n; ++coord) {
         for (NodeId s = 0; s < n; ++s) {
-          const auto run = run_arbitrary(g, s, coord);
+          const auto run = runtime::run_scheme("arb", g, s,
+                                               {.coordinator = coord});
           ASSERT_TRUE(run.ok)
               << g.summary() << " source " << s << " coord " << coord;
         }
@@ -110,7 +112,7 @@ TEST(Exhaustive, ArbitrarySourceUpTo4Nodes) {
 TEST(Exhaustive, ArbitrarySource5NodesFixedCoordinator) {
   graph::for_each_connected_graph(5, [&](const graph::Graph& g) {
     for (NodeId s = 0; s < 5; ++s) {
-      const auto run = run_arbitrary(g, s, 0);
+      const auto run = runtime::run_scheme("arb", g, s);
       ASSERT_TRUE(run.ok) << g.summary() << " source " << s;
     }
   });
@@ -119,7 +121,7 @@ TEST(Exhaustive, ArbitrarySource5NodesFixedCoordinator) {
 TEST(Exhaustive, CommonRoundUpTo5Nodes) {
   for (std::uint32_t n = 2; n <= 5; ++n) {
     graph::for_each_connected_graph(n, [&](const graph::Graph& g) {
-      const auto run = run_common_round(g, 0);
+      const auto run = runtime::run_scheme("common-round", g, 0);
       ASSERT_TRUE(run.ok) << g.summary();
     });
   }

@@ -456,5 +456,22 @@ TEST(Faults, ResilientAckCompletesUnderLossWhereBStalls) {
   EXPECT_TRUE(ack.ok);
 }
 
+// T dominates every t_v only without faults.  A lost phase-1 reception can
+// leave a node with t_v > T; it must stay undecided (ok = false) instead of
+// aborting the process.
+TEST(Faults, ArbUnderLossStaysUndecidedInsteadOfAborting) {
+  Rng rng(3);
+  const Graph g = graph::random_geometric(256, 0.15, rng);
+  ASSERT_TRUE(runtime::run_scheme("arb", g, 0).ok);
+
+  runtime::ExecutionConfig config;
+  config.faults.edge_loss_ppm = 50000;  // 5%
+  config.faults.seed = 2;
+  config.max_rounds = 64 * 256;
+  const auto run = runtime::run_scheme("arb", g, 0, {}, config);
+  EXPECT_FALSE(run.ok);
+  EXPECT_EQ(run.rounds, config.max_rounds);
+}
+
 }  // namespace
 }  // namespace radiocast

@@ -16,9 +16,6 @@
 #include <vector>
 
 #include "analysis/experiments.hpp"
-#include "baselines/baselines.hpp"
-#include "baselines/beep.hpp"
-#include "core/runner.hpp"
 #include "graph/generators.hpp"
 #include "runtime/scheme.hpp"
 #include "runtime/sweep.hpp"
@@ -171,24 +168,14 @@ TEST(SchemeDifferential, CompiledReplayMatchesEngineTrace) {
   }
 }
 
-TEST(SchemeRuntime, WrappersForwardLosslessly) {
-  Rng rng(7);
-  const Graph g = graph::gnp_connected(14, 0.25, rng);
-  const auto direct = runtime::run_scheme("b", g, 0);
-  const auto wrapped = core::run_broadcast(g, 0);
-  EXPECT_EQ(wrapped.all_informed, direct.all_informed);
-  EXPECT_EQ(wrapped.completion_round, direct.completion_round);
-  EXPECT_EQ(wrapped.bound, direct.bound);
-  EXPECT_EQ(wrapped.ell, direct.ell);
-  EXPECT_EQ(wrapped.max_node_tx, direct.max_node_tx);
-
-  SchemeOptions beep_opt;
-  beep_opt.mu = 9;
-  beep_opt.frame_bits = 6;
-  const auto beep_direct = runtime::run_scheme("beep", g, 0, beep_opt);
-  const auto beep_wrapped = baselines::run_beep(g, 0, 9, 6);
-  EXPECT_EQ(beep_wrapped.ok, beep_direct.ok);
-  EXPECT_EQ(beep_wrapped.completion_round, beep_direct.completion_round);
+TEST(SchemeRuntime, EveryRegisteredSchemeRejectsOutOfRangeSource) {
+  // run_scheme checks the source before label() can index by it.
+  const Graph g = graph::path(4);
+  for (const auto* scheme : SchemeRegistry::instance().schemes()) {
+    EXPECT_THROW(runtime::run_scheme(*scheme, g, g.node_count()),
+                 ContractViolation)
+        << scheme->name();
+  }
 }
 
 TEST(SchemeRuntime, VerifyHookChecksLemma28) {

@@ -7,12 +7,8 @@
 #include <tuple>
 
 #include "analysis/experiments.hpp"
-#include "baselines/baselines.hpp"
-#include "baselines/beep.hpp"
-#include "core/multi.hpp"
-#include "core/runner.hpp"
 #include "graph/traversal.hpp"
-#include "onebit/runner.hpp"
+#include "runtime/scheme.hpp"
 
 namespace radiocast {
 namespace {
@@ -31,7 +27,7 @@ class ScalingSweep : public ::testing::TestWithParam<Param> {
 TEST_P(ScalingSweep, BroadcastWithinBound) {
   const auto& [idx, n] = GetParam();
   const auto w = workload(idx, n);
-  const auto run = core::run_broadcast(w.graph, w.source);
+  const auto run = runtime::run_scheme("b", w.graph, w.source);
   ASSERT_TRUE(run.all_informed) << w.family << " n=" << n;
   EXPECT_LE(run.completion_round, run.bound);
   EXPECT_EQ(run.completion_round, 2ull * run.ell - 3);
@@ -40,7 +36,7 @@ TEST_P(ScalingSweep, BroadcastWithinBound) {
 TEST_P(ScalingSweep, AcknowledgedWindows) {
   const auto& [idx, n] = GetParam();
   const auto w = workload(idx, n);
-  const auto run = core::run_acknowledged(w.graph, w.source);
+  const auto run = runtime::run_scheme("ack", w.graph, w.source);
   ASSERT_TRUE(run.all_informed) << w.family << " n=" << n;
   EXPECT_GE(run.ack_round, 2ull * run.ell - 2);
   EXPECT_LE(run.ack_round,
@@ -50,38 +46,41 @@ TEST_P(ScalingSweep, AcknowledgedWindows) {
 TEST_P(ScalingSweep, CommonRoundAgreement) {
   const auto& [idx, n] = GetParam();
   const auto w = workload(idx, n);
-  const auto run = core::run_common_round(w.graph, w.source);
+  const auto run = runtime::run_scheme("common-round", w.graph, w.source);
   EXPECT_TRUE(run.ok) << w.family << " n=" << n;
 }
 
 TEST_P(ScalingSweep, ArbitrarySourceFromTwoPlaces) {
   const auto& [idx, n] = GetParam();
   const auto w = workload(idx, n);
-  EXPECT_TRUE(core::run_arbitrary(w.graph, w.source, 0).ok) << w.family;
+  EXPECT_TRUE(runtime::run_scheme("arb", w.graph, w.source).ok) << w.family;
   const graph::NodeId far = w.graph.node_count() - 1;
-  EXPECT_TRUE(core::run_arbitrary(w.graph, far, 0).ok) << w.family;
+  EXPECT_TRUE(runtime::run_scheme("arb", w.graph, far).ok) << w.family;
 }
 
 TEST_P(ScalingSweep, MultiMessageSession) {
   const auto& [idx, n] = GetParam();
   const auto w = workload(idx, n);
-  const auto run = core::run_multi_broadcast(w.graph, w.source, {3, 1, 4});
+  const auto run = runtime::run_scheme("multi", w.graph, w.source,
+                                       {.payloads = {3, 1, 4}});
   EXPECT_TRUE(run.ok) << w.family << " n=" << n;
 }
 
 TEST_P(ScalingSweep, BaselinesComplete) {
   const auto& [idx, n] = GetParam();
   const auto w = workload(idx, n);
-  EXPECT_TRUE(baselines::run_round_robin(w.graph, w.source).all_informed)
-      << w.family;
-  EXPECT_TRUE(baselines::run_color_robin(w.graph, w.source).all_informed)
-      << w.family;
+  for (const char* scheme : {"round-robin", "color-robin"}) {
+    EXPECT_TRUE(runtime::run_scheme(scheme, w.graph, w.source).all_informed)
+        << scheme << " " << w.family;
+  }
 }
 
 TEST_P(ScalingSweep, BeepDelivers) {
   const auto& [idx, n] = GetParam();
   const auto w = workload(idx, n);
-  EXPECT_TRUE(baselines::run_beep(w.graph, w.source, 0x33u, 6).ok) << w.family;
+  const auto run = runtime::run_scheme("beep", w.graph, w.source,
+                                       {.mu = 0x33u, .frame_bits = 6});
+  EXPECT_TRUE(run.ok) << w.family;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -103,7 +102,7 @@ TEST_P(OneBitScaling, SearchSucceedsOnTrees) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 13 + 1);
   const auto g = graph::random_tree(
       20 + 10 * static_cast<std::uint32_t>(GetParam()), rng);
-  EXPECT_TRUE(onebit::run_onebit(g, 0, {.max_attempts = 256}).ok)
+  EXPECT_TRUE(runtime::run_scheme("onebit", g, 0, {.max_attempts = 256}).ok)
       << g.summary();
 }
 
