@@ -1,9 +1,13 @@
 // Micro-bench P1 — cost of the centralized preprocessing (stage-set
 // construction + the three labelings) as a function of n and family.  This is
-// the part the paper's "central monitor" runs once per deployment.
+// the part the paper's "central monitor" runs once per deployment.  The
+// gnp/materialize and disk/materialize samples time the random generators
+// that precede it.
 #include "harness.hpp"
 
 #include <cmath>
+#include <numbers>
+#include <string>
 
 #include "core/labeling.hpp"
 #include "graph/generators.hpp"
@@ -20,13 +24,33 @@ struct Job {
 
 void run(Context& ctx) {
   std::vector<Job> jobs;
+  // Generator cost of the two random families, timed serially before the
+  // labeling fan-out: the cold half of a served request on a new graph.
+  const auto materialize = [&ctx](const char* family, auto&& build) {
+    graph::Graph g;
+    Sample s;
+    s.family = std::string(family) + "/materialize";
+    s.wall_ns = time_ns([&] { g = build(); });
+    s.n = g.node_count();
+    s.m = g.edge_count();
+    ctx.record(std::move(s));
+    return g;
+  };
   for (const std::uint32_t n : ctx.sizes(16384)) {
     const auto side = static_cast<std::uint32_t>(
         std::max(2.0, std::sqrt(static_cast<double>(n))));
     Rng rng(n);
     jobs.push_back({"path", graph::path(n)});
     jobs.push_back({"grid", graph::grid(side, side)});
-    jobs.push_back({"gnp", graph::gnp_connected(n, 8.0 / n, rng)});
+    jobs.push_back({"gnp", materialize("gnp", [&] {
+                      return graph::gnp_connected(n, 8.0 / n, rng);
+                    })});
+    // Unit-disk graph at mean degree about 10 (n·πr² = 10).
+    materialize("disk", [n] {
+      Rng disk_rng(n);
+      return graph::random_geometric(
+          n, std::sqrt(10.0 / (std::numbers::pi * n)), disk_rng);
+    });
   }
 
   const auto groups =
@@ -55,7 +79,8 @@ void run(Context& ctx) {
 
 const bool registered = register_scenario(
     {"construction",
-     "preprocessing cost: stage sets and the three labelings per family/size",
+     "preprocessing cost: generators, stage sets and the three labelings per "
+     "family/size",
      {"smoke", "micro"},
      &run});
 

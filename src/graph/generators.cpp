@@ -1,8 +1,10 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 namespace radiocast::graph {
@@ -269,6 +271,74 @@ Graph sparse_gnp_connected(std::uint32_t n, double avg_degree, Rng& rng) {
   return std::move(b).build();
 }
 
+namespace {
+
+/// Squared distance of points u < v, spelled exactly as the unit-disk test
+/// and the stitch order use it: every comparison sees the same rounding.
+double dist2(const std::vector<double>& x, const std::vector<double>& y,
+             NodeId u, NodeId v) {
+  const double dx = x[u] - x[v];
+  const double dy = y[u] - y[v];
+  return dx * dx + dy * dy;
+}
+
+/// The unit square bucketed into k x k cells at least `reach` wide, with a
+/// relative margin that covers the rounding of the cell index, so every pair
+/// whose computed squared distance is <= reach² lies in the same or in
+/// adjacent cells.  Each cell lists its points in ascending id order.  k is
+/// capped near sqrt(n), which keeps the cell table O(n).
+class CellGrid {
+ public:
+  CellGrid(const std::vector<double>& x, const std::vector<double>& y,
+           double reach) {
+    const auto n = static_cast<std::uint32_t>(x.size());
+    const auto cap = std::max<std::uint32_t>(
+        1, static_cast<std::uint32_t>(std::sqrt(static_cast<double>(n))));
+    const double fit = 1.0 / (reach * (1.0 + 1e-9));
+    k_ = fit >= cap ? cap : std::max<std::uint32_t>(
+                                1, static_cast<std::uint32_t>(fit));
+    cell_.resize(n);
+    start_.assign(static_cast<std::size_t>(k_) * k_ + 1, 0);
+    for (NodeId v = 0; v < n; ++v) {
+      cell_[v] = index(x[v]) * k_ + index(y[v]);
+      ++start_[cell_[v] + 1];
+    }
+    for (std::size_t c = 1; c < start_.size(); ++c) start_[c] += start_[c - 1];
+    members_.resize(n);
+    std::vector<std::uint32_t> cursor(start_.begin(), start_.end() - 1);
+    for (NodeId v = 0; v < n; ++v) members_[cursor[cell_[v]]++] = v;
+  }
+
+  /// Calls `visit(w)` for every point w >= `from` in the 3 x 3 block of
+  /// cells around u's cell.
+  template <typename Visit>
+  void for_each_near(NodeId u, NodeId from, Visit&& visit) const {
+    const std::uint32_t cx = cell_[u] / k_, cy = cell_[u] % k_;
+    for (std::uint32_t i = cx > 0 ? cx - 1 : 0; i <= cx + 1 && i < k_; ++i) {
+      for (std::uint32_t j = cy > 0 ? cy - 1 : 0; j <= cy + 1 && j < k_;
+           ++j) {
+        const std::size_t c = static_cast<std::size_t>(i) * k_ + j;
+        const auto first = members_.begin() + start_[c];
+        const auto last = members_.begin() + start_[c + 1];
+        for (auto it = std::lower_bound(first, last, from); it != last; ++it)
+          visit(*it);
+      }
+    }
+  }
+
+ private:
+  std::uint32_t index(double coord) const {
+    return std::min(k_ - 1, static_cast<std::uint32_t>(coord * k_));
+  }
+
+  std::uint32_t k_ = 1;
+  std::vector<std::uint32_t> cell_;   ///< per point: cx * k + cy
+  std::vector<std::uint32_t> start_;  ///< CSR offsets into members_
+  std::vector<NodeId> members_;
+};
+
+}  // namespace
+
 Graph random_geometric(std::uint32_t n, double radius, Rng& rng) {
   RC_EXPECTS(n >= 1);
   RC_EXPECTS(radius > 0.0);
@@ -280,39 +350,77 @@ Graph random_geometric(std::uint32_t n, double radius, Rng& rng) {
   const double r2 = radius * radius;
   GraphBuilder b(n);
   UnionFind uf(n);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) {
-      const double dx = x[u] - x[v];
-      const double dy = y[u] - y[v];
-      if (dx * dx + dy * dy <= r2) {
-        b.add_edge(u, v);
-        uf.unite(u, v);
-      }
-    }
-  }
-  // Connect components via their geometrically closest pair so the stitched
-  // edges still look like radio links.
-  for (;;) {
-    std::vector<NodeId> root(n);
-    for (NodeId v = 0; v < n; ++v) root[v] = uf.find(v);
-    NodeId bu = kNoNode, bv = kNoNode;
-    double best = std::numeric_limits<double>::max();
+  std::uint32_t components = n;
+  {
+    // Rows in ascending u, each row's hits sorted: the chunks are presorted
+    // runs, so build() merges instead of sorting the whole edge list.
+    const CellGrid grid(x, y, radius);
+    constexpr std::size_t kChunk = std::size_t{1} << 16;
+    std::vector<std::pair<NodeId, NodeId>> chunk;
+    std::vector<NodeId> row;
     for (NodeId u = 0; u < n; ++u) {
-      for (NodeId v = u + 1; v < n; ++v) {
-        if (root[u] == root[v]) continue;
-        const double dx = x[u] - x[v];
-        const double dy = y[u] - y[v];
-        const double d = dx * dx + dy * dy;
-        if (d < best) {
-          best = d;
-          bu = u;
-          bv = v;
-        }
+      row.clear();
+      grid.for_each_near(u, u + 1, [&](NodeId v) {
+        if (dist2(x, y, u, v) <= r2) row.push_back(v);
+      });
+      std::sort(row.begin(), row.end());
+      for (const NodeId v : row) {
+        chunk.emplace_back(u, v);
+        if (uf.unite(u, v)) --components;
+      }
+      if (chunk.size() >= kChunk) {
+        b.add_sorted_run(chunk);
+        chunk.clear();
       }
     }
-    if (bu == kNoNode) break;  // already connected
-    b.add_edge(bu, bv);
-    uf.unite(bu, bv);
+    if (!chunk.empty()) b.add_sorted_run(chunk);
+  }
+  // Stitch components through their closest point pairs: repeatedly join
+  // the cross-component pair that is least in (d², u, v) order.  That is
+  // Kruskal's order, so each pass collects every cross-component pair
+  // within `reach` and unites them sorted; if components remain, every such
+  // pair is now internal, the next join is longer than `reach`, and the
+  // reach doubles.  Every cross pair has an endpoint outside the largest
+  // component, so only those endpoints are scanned.
+  double reach = std::max(
+      2.0 * radius, 1.0 / std::max(1.0, std::sqrt(static_cast<double>(n))));
+  std::vector<NodeId> root(n);
+  std::vector<std::uint32_t> component_size(n);
+  struct Candidate {
+    double d;
+    NodeId u, v;
+    bool operator<(const Candidate& o) const {
+      return std::tie(d, u, v) < std::tie(o.d, o.u, o.v);
+    }
+  };
+  std::vector<Candidate> candidates;
+  while (components > 1) {
+    std::fill(component_size.begin(), component_size.end(), 0);
+    for (NodeId v = 0; v < n; ++v) ++component_size[root[v] = uf.find(v)];
+    const NodeId largest = static_cast<NodeId>(
+        std::max_element(component_size.begin(), component_size.end()) -
+        component_size.begin());
+    const double reach2 = reach * reach;
+    const CellGrid grid(x, y, reach);
+    candidates.clear();
+    for (NodeId u = 0; u < n; ++u) {
+      if (root[u] == largest) continue;
+      grid.for_each_near(u, 0, [&](NodeId v) {
+        // A pair outside the largest component is seen from both ends;
+        // keep it once, from its lower end.
+        if (root[v] == root[u] || (root[v] != largest && v < u)) return;
+        const NodeId lo = std::min(u, v), hi = std::max(u, v);
+        const double d = dist2(x, y, lo, hi);
+        if (d <= reach2) candidates.push_back({d, lo, hi});
+      });
+    }
+    std::sort(candidates.begin(), candidates.end());
+    for (const Candidate& c : candidates) {
+      if (!uf.unite(c.u, c.v)) continue;
+      b.add_edge(c.u, c.v);
+      if (--components == 1) break;
+    }
+    reach *= 2.0;
   }
   return std::move(b).build();
 }
@@ -438,20 +546,31 @@ Graph from_descriptor(const std::string& descriptor) {
                  "empty graph descriptor");
   const std::string& family = parts[0];
   const std::size_t args = parts.size() - 1;
-  const auto num = [&](std::size_t k) {
-    RC_EXPECTS_MSG(k < parts.size() && !parts[k].empty() &&
-                       parts[k].find_first_not_of("0123456789") ==
-                           std::string::npos,
-                   "graph descriptor argument must be a non-negative integer");
-    return static_cast<std::uint32_t>(std::stoul(parts[k]));
-  };
-  const auto real = [&](std::size_t k) {
+  // std::from_chars parses the whole argument or nothing: no exceptions, no
+  // silent truncation to 32 bits, no trailing junk.
+  const auto arg = [&](std::size_t k) -> const std::string& {
     RC_EXPECTS_MSG(k < parts.size() && !parts[k].empty(),
                    "graph descriptor argument missing");
-    std::size_t used = 0;
-    const double v = std::stod(parts[k], &used);
-    RC_EXPECTS_MSG(used == parts[k].size(),
-                   "graph descriptor argument must be a number");
+    return parts[k];
+  };
+  const auto num = [&](std::size_t k) {
+    const std::string& text = arg(k);
+    const char* end = text.data() + text.size();
+    std::uint32_t v = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    RC_EXPECTS_MSG(ec == std::errc{} && ptr == end,
+                   "graph descriptor argument must be an integer in "
+                   "[0, 2^32): '" + text + "'");
+    return v;
+  };
+  const auto real = [&](std::size_t k) {
+    const std::string& text = arg(k);
+    const char* end = text.data() + text.size();
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    RC_EXPECTS_MSG(ec == std::errc{} && ptr == end && std::isfinite(v),
+                   "graph descriptor argument must be a finite number: '" +
+                       text + "'");
     return v;
   };
   if (family == "path" && args == 1) return path(num(1));

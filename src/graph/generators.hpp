@@ -76,7 +76,14 @@ Graph sparse_gnp_connected(std::uint32_t n, double avg_degree, Rng& rng);
 
 /// Random geometric (unit-disk) graph: n points in the unit square, edges
 /// within `radius`.  Components are chained via their closest point pairs, so
-/// the result stays geometrically plausible and connected.
+/// the result stays geometrically plausible and connected: while more than
+/// one remains, the cross-component pair least in (squared distance, u, v)
+/// order is joined.  Costs O(n + m) expected time: pairs are tested only
+/// between neighbouring cells of a grid at least `radius` wide, rows stream
+/// into the builder as presorted runs, and the stitch is one Kruskal pass
+/// over cross-component pairs within a reach that doubles until one
+/// component is left.  The output and the RNG draws (two per point) are
+/// exactly those of the all-pairs definition.
 Graph random_geometric(std::uint32_t n, double radius, Rng& rng);
 
 /// Random 2-terminal series-parallel graph with approximately `edges` edges
@@ -104,8 +111,11 @@ Graph figure1();
 ///   balanced-tree:ARITY:DEPTH | caterpillar:SPINE:LEGS | lollipop:K:TAIL |
 ///   gnp:N:P:SEED | sgnp:N:DEG:SEED | disk:N:RADIUS:SEED | sp:EDGES:SEED |
 ///   clustered:CLUSTERS:SIZE:P:SEED | figure1
-/// Randomized families are deterministic in their SEED argument.  Malformed
-/// descriptors violate a precondition (ContractViolation).
+/// Randomized families are deterministic in their SEED argument.  Integer
+/// arguments must be whole decimal numbers below 2^32 and real arguments
+/// whole finite numbers; anything else (junk, signs, trailing characters,
+/// overflow) and any other malformed descriptor violates a precondition
+/// (ContractViolation).
 Graph from_descriptor(const std::string& descriptor);
 
 }  // namespace radiocast::graph

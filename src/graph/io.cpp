@@ -1,11 +1,27 @@
 #include "graph/io.hpp"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <string>
 
 namespace radiocast::graph {
+
+namespace {
+
+/// A whole token as a node id; junk, signs and values past 32 bits are
+/// rejected instead of thrown past the caller or truncated.
+NodeId parse_id(const std::string& token) {
+  const char* end = token.data() + token.size();
+  NodeId id = 0;
+  const auto [ptr, ec] = std::from_chars(token.data(), end, id);
+  RC_EXPECTS_MSG(ec == std::errc{} && ptr == end,
+                 "malformed node id '" + token + "' in edge line");
+  return id;
+}
+
+}  // namespace
 
 Graph read_edge_list(std::istream& in) {
   std::vector<std::pair<NodeId, NodeId>> edges;
@@ -22,9 +38,10 @@ Graph read_edge_list(std::istream& in) {
       ls >> declared_nodes;
       continue;
     }
-    const NodeId u = static_cast<NodeId>(std::stoul(first));
-    NodeId v = 0;
-    RC_EXPECTS_MSG(static_cast<bool>(ls >> v), "malformed edge line");
+    std::string second;
+    RC_EXPECTS_MSG(static_cast<bool>(ls >> second), "malformed edge line");
+    const NodeId u = parse_id(first);
+    const NodeId v = parse_id(second);
     edges.emplace_back(u, v);
     max_id = std::max(max_id, std::max(u, v));
   }

@@ -164,7 +164,21 @@ GraphRef SweepRunner::add_graph(graph::Graph g, std::string generator) {
   return ref;
 }
 
+SweepRunner::Materialized SweepRunner::materialize(
+    const std::string& descriptor) {
+  Materialized out;
+  out.graph = graph::from_descriptor(descriptor);
+  out.hash = graph::canonical_hash(out.graph);
+  return out;
+}
+
 std::uint64_t SweepRunner::resolve_hash(const GraphRef& ref) {
+  MaterializedMap none;
+  return resolve_hash(ref, none);
+}
+
+std::uint64_t SweepRunner::resolve_hash(const GraphRef& ref,
+                                        MaterializedMap& prebuilt) {
   if (ref.hash != 0 && graphs_.count(ref.hash) != 0) return ref.hash;
   RC_EXPECTS_MSG(!ref.generator.empty(),
                  "graph ref is unknown and carries no generator descriptor");
@@ -176,15 +190,48 @@ std::uint64_t SweepRunner::resolve_hash(const GraphRef& ref) {
   if (memo != generator_hashes_.end()) {
     hash = memo->second;
   } else {
-    graph::Graph g = graph::from_descriptor(ref.generator);
-    hash = graph::canonical_hash(g);
-    graphs_.emplace(hash, std::move(g));
+    const auto pre = prebuilt.find(ref.generator);
+    Materialized built = pre != prebuilt.end() ? std::move(pre->second)
+                                               : materialize(ref.generator);
+    if (built.error) std::rethrow_exception(built.error);
+    hash = built.hash;
+    graphs_.emplace(hash, std::move(built.graph));
     graph_count_.store(graphs_.size(), std::memory_order_relaxed);
     generator_hashes_.emplace(ref.generator, hash);
   }
   RC_EXPECTS_MSG(ref.hash == 0 || ref.hash == hash,
                  "graph ref hash does not match its generator descriptor");
   return hash;
+}
+
+SweepRunner::MaterializedMap SweepRunner::materialize_unknown(
+    const std::vector<const ExperimentSpec*>& specs) const {
+  std::vector<const std::string*> descriptors;
+  MaterializedMap out;
+  for (const ExperimentSpec* spec : specs) {
+    const GraphRef& ref = spec->graph;
+    if (ref.hash != 0 && graphs_.count(ref.hash) != 0) continue;
+    if (ref.generator.empty() || generator_hashes_.count(ref.generator) != 0) {
+      continue;
+    }
+    if (out.emplace(ref.generator, Materialized{}).second) {
+      descriptors.push_back(&ref.generator);
+    }
+  }
+  std::vector<Materialized> built =
+      par::parallel_map(pool_, descriptors.size(), [&](std::size_t i) {
+        try {
+          return materialize(*descriptors[i]);
+        } catch (...) {
+          Materialized failed;
+          failed.error = std::current_exception();
+          return failed;
+        }
+      });
+  for (std::size_t i = 0; i < descriptors.size(); ++i) {
+    out[*descriptors[i]] = std::move(built[i]);
+  }
+  return out;
 }
 
 const graph::Graph& SweepRunner::resolve(const GraphRef& ref) {
@@ -228,7 +275,9 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
     const std::vector<const ExperimentSpec*>& specs,
     std::vector<std::uint64_t>& wall_ns) {
   // Resolve every spec up front: scheme pointer, graph, plan key, compiled
-  // key.  Plans are keyed by the scheme's *plan family*, so schemes that
+  // key.  Graphs the runner has never seen are built on the pool first, so
+  // a cold submission pays for its slowest graph rather than the sum of
+  // them.  Plans are keyed by the scheme's *plan family*, so schemes that
   // compute the same labeling (ack / common-round / multi all build λ_ack)
   // share one cache and store entry.
   struct Resolved {
@@ -240,13 +289,14 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
     CompiledPlanPtr compiled;
   };
   auto& registry = SchemeRegistry::instance();
+  MaterializedMap fresh = materialize_unknown(specs);
   std::vector<Resolved> resolved(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const ExperimentSpec& spec = *specs[i];
     Resolved& r = resolved[i];
     r.scheme = registry.find(spec.scheme);
     RC_EXPECTS_MSG(r.scheme != nullptr, "unregistered scheme in sweep spec");
-    const std::uint64_t graph_hash = resolve_hash(spec.graph);
+    const std::uint64_t graph_hash = resolve_hash(spec.graph, fresh);
     r.graph = &graphs_.at(graph_hash);
     RC_EXPECTS(spec.source < r.graph->node_count());
     if (spec.config.plan_cache_bytes != 0) {

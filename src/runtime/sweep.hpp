@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <list>
 #include <string>
 #include <unordered_map>
@@ -206,6 +207,31 @@ class SweepRunner {
   void clear_cache() { cache_.clear(); }
 
  private:
+  /// A generator descriptor materialized ahead of the serial resolve loop:
+  /// its graph and canonical hash, or what materializing it threw.
+  struct Materialized {
+    graph::Graph graph;
+    std::uint64_t hash = 0;
+    std::exception_ptr error;
+  };
+  using MaterializedMap = std::unordered_map<std::string, Materialized>;
+
+  /// Materializes and hashes, in one pool pass, every distinct descriptor in
+  /// `specs` that `resolve_hash` would otherwise build serially.  Nothing is
+  /// registered here: the resolve loop takes each graph when it reaches its
+  /// spec, so a batch that fails earlier leaves the graph table as the
+  /// serial loop would, and a bad descriptor rethrows its own exception at
+  /// its own spec.
+  MaterializedMap materialize_unknown(
+      const std::vector<const ExperimentSpec*>& specs) const;
+
+  /// Builds and hashes one descriptor's graph.
+  static Materialized materialize(const std::string& descriptor);
+
+  /// `resolve_hash`, taking a descriptor's graph from `prebuilt` when it is
+  /// there instead of materializing it.
+  std::uint64_t resolve_hash(const GraphRef& ref, MaterializedMap& prebuilt);
+
   /// The shared core of `run` / `run_merged`: executes the flattened spec
   /// list, returning results in index order and per-spec execution wall
   /// times in `wall_ns` (same length as `specs`).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "graph/coloring.hpp"
 #include "graph/enumerate.hpp"
 #include "graph/generators.hpp"
+#include "graph/hash.hpp"
 #include "graph/io.hpp"
 #include "graph/traversal.hpp"
 #include "support/contracts.hpp"
@@ -279,6 +281,138 @@ TEST(Generators, RandomGeometricConnectedEvenWhenSparse) {
   EXPECT_TRUE(is_connected(g));                     // stitched
 }
 
+/// The unit-disk definition spelled directly: every pair tested, then
+/// components joined one at a time by the closest cross-component pair,
+/// ties broken by the first pair in (u, v) scan order.  O(n²) per join; the
+/// differential below pins `random_geometric` to it edge for edge.
+Graph reference_random_geometric(std::uint32_t n, double radius, Rng& rng) {
+  std::vector<double> x(n), y(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    x[i] = rng.uniform();
+    y[i] = rng.uniform();
+  }
+  const double r2 = radius * radius;
+  GraphBuilder b(n);
+  std::vector<NodeId> comp(n);
+  for (NodeId v = 0; v < n; ++v) comp[v] = v;
+  const auto join = [&](NodeId u, NodeId v) {
+    const NodeId from = comp[u], to = comp[v];
+    if (from == to) return;
+    for (NodeId& c : comp)
+      if (c == from) c = to;
+  };
+  const auto d2 = [&](NodeId u, NodeId v) {
+    const double dx = x[u] - x[v];
+    const double dy = y[u] - y[v];
+    return dx * dx + dy * dy;
+  };
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) {
+      if (d2(u, v) <= r2) {
+        b.add_edge(u, v);
+        join(u, v);
+      }
+    }
+  }
+  for (;;) {
+    NodeId bu = kNoNode, bv = kNoNode;
+    double best = std::numeric_limits<double>::max();
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId v = u + 1; v < n; ++v) {
+        if (comp[u] != comp[v] && d2(u, v) < best) {
+          best = d2(u, v);
+          bu = u;
+          bv = v;
+        }
+      }
+    }
+    if (bu == kNoNode) break;
+    b.add_edge(bu, bv);
+    join(bu, bv);
+  }
+  return std::move(b).build();
+}
+
+bool same_graph(const Graph& a, const Graph& b) {
+  if (a.node_count() != b.node_count()) return false;
+  for (NodeId v = 0; v < a.node_count(); ++v) {
+    const auto x = a.neighbors(v), y = b.neighbors(v);
+    if (!std::equal(x.begin(), x.end(), y.begin(), y.end())) return false;
+  }
+  return true;
+}
+
+// Seeded differential: the grid-and-Kruskal generator against the O(n²)
+// reference — same edges, and the same RNG state afterwards (the next draw),
+// across sparse (many stitches), threshold, dense and radius >= 1 inputs.
+TEST(Generators, RandomGeometricMatchesQuadraticReference) {
+  for (const std::uint32_t n : {1u, 2u, 3u, 17u, 120u, 250u}) {
+    for (const double radius : {1e-6, 0.01, 0.05, 0.1, 0.25, 0.6, 1.0, 1.5}) {
+      for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        Rng fast_rng(seed), ref_rng(seed);
+        const Graph fast = random_geometric(n, radius, fast_rng);
+        const Graph ref = reference_random_geometric(n, radius, ref_rng);
+        EXPECT_TRUE(same_graph(fast, ref))
+            << "n=" << n << " radius=" << radius << " seed=" << seed;
+        EXPECT_EQ(fast_rng.next(), ref_rng.next())
+            << "n=" << n << " radius=" << radius << " seed=" << seed;
+      }
+    }
+  }
+}
+
+// Generator output pinned by canonical hash, as the all-pairs unit-disk
+// generator produced it: stitched (tiny radius), radius >= 1, n in {1, 2},
+// dense, and the gnp / sgnp families beside them.
+TEST(Generators, GoldenDescriptorHashes) {
+  const std::pair<const char*, const char*> golden[] = {
+      {"disk:8000:0.01995:7", "9b5e3f06205cbad6"},
+      {"disk:2000:0.03989:7", "c282c80682e692e2"},
+      {"disk:2048:0.1:7", "f0db7389b85a6e77"},
+      {"disk:1:0.1:1", "392209f14dea4c24"},
+      {"disk:2:0.1:1", "505f902eddfa2326"},
+      {"disk:2:0.001:3", "505f902eddfa2326"},
+      {"disk:300:0.0001:2", "5dd1a19680e0b099"},
+      {"disk:1000:0.005:11", "0864361abd032831"},
+      {"disk:500:0.03:5", "15ff43a95f3899a6"},
+      {"disk:40:1:4", "75d3eb9534a72e83"},
+      {"disk:25:1.5:9", "b6bcbd5838b73d24"},
+      {"disk:60:0.7:1", "e1968a993ee8399d"},
+      {"gnp:8000:0.001250:7", "72a947921d8b78d6"},
+      {"gnp:200:0.02:3", "de43821d275a2dea"},
+      {"sgnp:8000:10:7", "4d420075818e4c71"},
+      {"sgnp:1000:3:5", "2c6a234479184d76"},
+      {"sgnp:20000:2:9", "0affe3623a93bca9"},
+  };
+  for (const auto& [descriptor, hash] : golden) {
+    EXPECT_EQ(hash_hex(canonical_hash(from_descriptor(descriptor))), hash)
+        << descriptor;
+  }
+}
+
+// Descriptor arguments parse whole or not at all: garbage, signs, trailing
+// junk, non-finite reals and integers past 32 bits are contract violations
+// (never std::invalid_argument / std::out_of_range, never a silent wrap).
+TEST(Generators, DescriptorRejectsMalformedArguments) {
+  for (const char* bad :
+       {"gnp:10:abc:1", "gnp:10:0.1:x", "gnp:10:0.1:1x", "disk:10:0.1x:1",
+        "disk:10::1", "disk:10:inf:1", "disk:10:nan:1", "gnp:10:1e999:1",
+        "path:-3", "path:+3", "path: 3", "path:3.0", "path:", "path:abc",
+        "path:4294967296", "path:4294967298", "tree:5:4294967296",
+        "sgnp:10:2:18446744073709551617", "grid:3:99999999999999999999"}) {
+    EXPECT_THROW(from_descriptor(bad), ContractViolation) << bad;
+  }
+  // Leading zeros and exponent spellings still parse to the same graph.
+  EXPECT_EQ(canonical_hash(from_descriptor("path:0004")),
+            canonical_hash(path(4)));
+  EXPECT_EQ(canonical_hash(from_descriptor("disk:30:1e-1:3")),
+            canonical_hash(from_descriptor("disk:30:0.1:3")));
+  // The largest 32-bit seed is accepted and distinct from seed 0, which
+  // 2^32 used to alias.
+  EXPECT_NE(canonical_hash(from_descriptor("tree:40:4294967295")),
+            canonical_hash(from_descriptor("tree:40:0")));
+}
+
 TEST(Generators, SeriesParallelConnected) {
   Rng rng(11);
   for (const std::uint32_t edges : {1u, 2u, 8u, 40u, 150u}) {
@@ -412,6 +546,14 @@ TEST(Io, ParsesCommentsAndHeader) {
   const Graph g = read_edge_list(ss);
   EXPECT_EQ(g.node_count(), 5u);
   EXPECT_EQ(g.edge_count(), 2u);
+}
+
+TEST(Io, MalformedNodeIdsAreContractViolations) {
+  for (const char* bad : {"x 1\n", "1 y\n", "4294967296 1\n", "-1 2\n",
+                          "1 2.5\n", "3\n"}) {
+    std::stringstream ss(bad);
+    EXPECT_THROW(read_edge_list(ss), ContractViolation) << bad;
+  }
 }
 
 TEST(Io, DotContainsAllEdges) {

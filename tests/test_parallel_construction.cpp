@@ -1,7 +1,8 @@
 // Differential suite for the parallel construction paths: stage sets,
 // labelings, and square coloring must be BYTE-IDENTICAL to their sequential
 // counterparts at every thread count (the determinism contract of
-// parallel/chunked.hpp).  Runs under both the `differential` and `threaded`
+// parallel/chunked.hpp), and SweepRunner's pooled graph resolution must
+// match a one-worker pool.  Runs under both the `differential` and `threaded`
 // ctest labels, so the TSan job exercises the pool fan-out for data races.
 #include <gtest/gtest.h>
 
@@ -10,12 +11,15 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/experiments.hpp"
 #include "core/labeling.hpp"
 #include "core/stages.hpp"
 #include "graph/coloring.hpp"
 #include "graph/generators.hpp"
+#include "graph/hash.hpp"
 #include "graph/traversal.hpp"
 #include "parallel/thread_pool.hpp"
+#include "runtime/sweep.hpp"
 #include "support/rng.hpp"
 
 namespace radiocast {
@@ -195,6 +199,64 @@ TEST(SparseGnp, DescriptorRoundTrip) {
   const auto direct = graph::sparse_gnp_connected(512, 6.0, rng);
   EXPECT_EQ(g.node_count(), direct.node_count());
   EXPECT_EQ(g.edge_count(), direct.edge_count());
+}
+
+// SweepRunner builds every graph a submission names but the runner has
+// never seen on the pool, ahead of the serial resolve loop.  One merged
+// submission (fresh descriptors, a duplicate, a hash + generator ref, and
+// a hash-mismatch ref in its own batch) must give the same results and
+// the same graph table on a 1-worker and a 4-worker pool.
+TEST(ParallelGraphResolution, MergedSubmissionIdenticalAcrossPoolWidths) {
+  const auto spec = [](const std::string& descriptor, std::uint64_t hash) {
+    runtime::ExperimentSpec s;
+    s.scheme = "b";
+    s.graph.generator = descriptor;
+    s.graph.hash = hash;
+    return s;
+  };
+  const std::uint64_t sgnp_hash =
+      graph::canonical_hash(graph::from_descriptor("sgnp:300:6:4"));
+  const std::vector<runtime::ExperimentSpec> fresh = {
+      spec("disk:400:0.09:1", 0), spec("gnp:200:0.03:2", 0),
+      spec("disk:400:0.09:1", 0),  // duplicate descriptor
+      spec("sgnp:300:6:4", sgnp_hash), spec("grid:9:7", 0),
+      spec("disk:3:0.001:5", 0)};
+  const std::vector<runtime::ExperimentSpec> mismatch = {
+      spec("path:12", graph::canonical_hash(graph::path(13)))};
+
+  struct Outcome {
+    std::string merged_error;
+    std::vector<std::string> formatted;
+    std::size_t graphs_after_error = 0;
+    std::size_t graphs = 0;
+  };
+  const auto run = [&](std::size_t workers) {
+    par::ThreadPool pool(workers);
+    runtime::SweepRunner runner(pool);
+    Outcome out;
+    // The mismatch poisons the merged sweep with the serial loop's own
+    // violation, after the graphs of the specs before it are registered.
+    try {
+      runner.run_merged({&fresh, &mismatch});
+    } catch (const ContractViolation& violation) {
+      out.merged_error = violation.what();
+    }
+    out.graphs_after_error = runner.graph_count();
+    const auto results = runner.run_merged({&fresh});
+    out.formatted = analysis::format_sweep(fresh, results[0].results);
+    out.graphs = runner.graph_count();
+    return out;
+  };
+  const Outcome one = run(1);
+  const Outcome four = run(4);
+  EXPECT_NE(one.merged_error.find("does not match its generator"),
+            std::string::npos)
+      << one.merged_error;
+  EXPECT_EQ(one.merged_error, four.merged_error);
+  EXPECT_EQ(one.formatted, four.formatted);
+  EXPECT_EQ(one.graphs_after_error, four.graphs_after_error);
+  EXPECT_EQ(one.graphs, four.graphs);
+  EXPECT_EQ(one.graphs, 6u);  // five distinct fresh graphs plus path:12
 }
 
 }  // namespace

@@ -455,6 +455,72 @@ TEST(Serve, MergedSweepIsolatesABadBatchViaFallbackSplit) {
   EXPECT_TRUE(client.run_batch({good}).ok);
 }
 
+// A descriptor whose arguments do not parse is a run_failed error frame,
+// not a process abort: alone on the connection (the next batch still
+// runs, on the serial and the pipelined path), and inside a coalesced
+// submission (only its own batch fails).
+TEST(Serve, MalformedDescriptorFailsOnlyItsBatch) {
+  runtime::ExperimentSpec good;
+  good.scheme = "b";
+  good.graph.generator = "grid:3:4";
+  runtime::ExperimentSpec bad = good;
+  bad.graph.generator = "gnp:10:abc:1";
+
+  for (const std::size_t depth : {std::size_t{0}, std::size_t{32}}) {
+    par::ThreadPool pool(2);
+    runtime::SweepRunner runner(pool);
+    ServerOptions options;
+    options.executor.pipeline_depth = depth;
+    Server server(runner, options);
+    server.start();
+    Client client;
+    ASSERT_TRUE(client.connect_tcp(server.tcp_port()));
+    const auto rejected = client.run_batch({bad});
+    EXPECT_FALSE(rejected.ok) << "depth " << depth;
+    EXPECT_EQ(rejected.code, "run_failed") << "depth " << depth;
+    const auto next = client.run_batch({good});
+    EXPECT_TRUE(next.ok) << "depth " << depth << ": " << next.error;
+  }
+
+  par::ThreadPool pool(2);
+  runtime::SweepRunner runner(pool);
+  ServerOptions options;
+  options.executor.pipeline_depth = 3;
+  options.executor.coalesce_window_ms = 2000;  // ends early at depth
+  Server server(runner, options);
+  server.start();
+  Client client;
+  ASSERT_TRUE(client.connect_tcp(server.tcp_port()));
+  // Three batches queued back to back merge into one submission: good,
+  // bad, good.  The fallback split reruns them alone.
+  for (std::size_t b = 0; b < 3; ++b) {
+    Json request(Json::Object{});
+    request.set("v", Json(runtime::wire::kWireVersion));
+    request.set("type", Json(std::string("batch")));
+    request.set("id", Json(std::uint64_t{b}));
+    Json specs_json(Json::Array{});
+    specs_json.push_back(runtime::wire::to_json(b == 1 ? bad : good));
+    request.set("specs", std::move(specs_json));
+    ASSERT_TRUE(client.send(request));
+  }
+  for (std::size_t b = 0; b < 3; ++b) {
+    const auto first = client.receive();
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->get("id").as_uint(), b);
+    if (b == 1) {
+      EXPECT_EQ(first->get("type").as_string(), "error");
+      EXPECT_EQ(first->get("code").as_string(), "run_failed");
+      continue;
+    }
+    EXPECT_EQ(first->get("type").as_string(), "result");
+    const auto done = client.receive();
+    ASSERT_TRUE(done.has_value());
+    EXPECT_EQ(done->get("type").as_string(), "done");
+  }
+  EXPECT_EQ(server.pipeline_stats().submissions, 1u);
+  EXPECT_EQ(server.pipeline_stats().fallback_splits, 1u);
+}
+
 // "encoding":"binary" answers the same outcomes as the JSON path, field
 // for field, via the radiocast-resbin/1 raw frame.
 TEST(Serve, BinaryEncodingMatchesJsonResults) {
