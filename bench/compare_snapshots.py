@@ -14,6 +14,12 @@ moves the median, not the verdict; a single scenario regressing 10x while
 the rest hold still sticks out.  ``--no-calibrate`` compares absolute ratios
 instead (useful when both documents come from the same machine).
 
+Each document's header names the host and build it was recorded on
+(``hw_threads``, ``cpu_model``, ``compiler``, ``build_type``, plus
+``git_sha``).  When the two differ on any of the first four, or either
+document predates those fields, a loud warning says that the verdict
+compares different machines or builds; the gate itself is unchanged.
+
 Keys whose wall time is below ``--min-wall-ns`` in *either* document are
 skipped — sub-0.1ms samples are scheduler noise on shared CI runners.
 Within a key, the minimum wall time across repetitions is used.
@@ -27,9 +33,29 @@ import json
 import statistics
 import sys
 
+# Header fields that name the host and build a document was recorded on.
+HOST_KEYS = ("hw_threads", "cpu_model", "compiler", "build_type")
 
-def load_samples(path, min_wall_ns):
-    """Returns {(scenario, family, n): min wall_ns} for one document."""
+
+def host_warnings(base_path, base_doc, fresh_path, fresh_doc):
+    """Lines warning that the two documents come from different hosts or
+    builds, or that one of them does not say; empty when both agree."""
+    lines = []
+    for path, doc in ((base_path, base_doc), (fresh_path, fresh_doc)):
+        missing = [k for k in HOST_KEYS if k not in doc]
+        if missing:
+            lines.append(f"{path} lacks host fields: {', '.join(missing)}")
+    for key in HOST_KEYS:
+        if key in base_doc and key in fresh_doc:
+            if base_doc[key] != fresh_doc[key]:
+                lines.append(
+                    f"{key} differs: {base_doc[key]!r} (baseline) vs "
+                    f"{fresh_doc[key]!r} (fresh)"
+                )
+    return lines
+
+
+def load_document(path):
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -37,6 +63,11 @@ def load_samples(path, min_wall_ns):
         sys.exit(f"error: cannot read {path}: {e}")
     if doc.get("schema") != "radiocast-bench/1":
         sys.exit(f"error: {path} is not a radiocast-bench/1 document")
+    return doc
+
+
+def load_samples(doc, min_wall_ns):
+    """Returns {(scenario, family, n): min wall_ns} for one document."""
     wall = {}
     not_ok = []
     for scenario in doc.get("scenarios", []):
@@ -86,8 +117,23 @@ def main():
     if args.tolerance <= 1.0:
         ap.error("--tolerance must be > 1.0")
 
-    base, _ = load_samples(args.baseline, args.min_wall_ns)
-    fresh, fresh_not_ok = load_samples(args.fresh, args.min_wall_ns)
+    base_doc = load_document(args.baseline)
+    fresh_doc = load_document(args.fresh)
+    warnings = host_warnings(args.baseline, base_doc, args.fresh, fresh_doc)
+    if warnings:
+        print("!" * 72)
+        print("WARNING: these documents may come from different hosts or "
+              "builds;")
+        print("wall-time ratios then mix machine and code differences.")
+        for line in warnings:
+            print(f"  {line}")
+        print("!" * 72)
+    print(
+        f"git: {base_doc.get('git_sha', 'unknown')} (baseline) -> "
+        f"{fresh_doc.get('git_sha', 'unknown')} (fresh)"
+    )
+    base, _ = load_samples(base_doc, args.min_wall_ns)
+    fresh, fresh_not_ok = load_samples(fresh_doc, args.min_wall_ns)
 
     if fresh_not_ok:
         # The bench binary's exit code already gates invariant failures; this

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <thread>
 
 #include "runtime/flags.hpp"
 #include "support/table.hpp"
@@ -30,6 +31,31 @@ std::vector<std::string> split(const std::string& s, char sep) {
   }
   if (!cur.empty()) parts.push_back(cur);
   return parts;
+}
+
+/// The CPU's marketing name from /proc/cpuinfo, or "unknown" off Linux.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto first = line.find_first_not_of(" \t", colon + 1);
+    if (first == std::string::npos) break;
+    return line.substr(first);
+  }
+  return "unknown";
+}
+
+std::string compiler() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "g++ " __VERSION__;
+#else
+  return "unknown";
+#endif
 }
 
 }  // namespace
@@ -259,6 +285,11 @@ std::string to_json(const std::vector<ScenarioResult>& results,
      << "\"dispatch\":\"" << sim::to_string(opt.exec.dispatch) << "\","
      << "\"isa\":\"" << sim::simd::to_string(sim::simd::active_isa())
      << "\","
+     << "\"hw_threads\":" << std::thread::hardware_concurrency() << ","
+     << "\"cpu_model\":\"" << json_escape(cpu_model()) << "\","
+     << "\"compiler\":\"" << json_escape(compiler()) << "\","
+     << "\"build_type\":\"" << json_escape(RADIOCAST_BUILD_TYPE) << "\","
+     << "\"git_sha\":\"" << json_escape(RADIOCAST_GIT_SHA) << "\","
      << "\"sizes\":[";
   for (std::size_t i = 0; i < opt.sizes.size(); ++i) {
     if (i) os << ",";

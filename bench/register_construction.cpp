@@ -2,7 +2,8 @@
 // construction + the three labelings) as a function of n and family.  This is
 // the part the paper's "central monitor" runs once per deployment.  The
 // gnp/materialize and disk/materialize samples time the random generators
-// that precede it.
+// that precede it; gnp/materialize_pooled builds the same G(n, p) with its
+// draws split over the bench pool.
 #include "harness.hpp"
 
 #include <cmath>
@@ -29,7 +30,7 @@ void run(Context& ctx) {
   const auto materialize = [&ctx](const char* family, auto&& build) {
     graph::Graph g;
     Sample s;
-    s.family = std::string(family) + "/materialize";
+    s.family = family;
     s.wall_ns = time_ns([&] { g = build(); });
     s.n = g.node_count();
     s.m = g.edge_count();
@@ -42,11 +43,15 @@ void run(Context& ctx) {
     Rng rng(n);
     jobs.push_back({"path", graph::path(n)});
     jobs.push_back({"grid", graph::grid(side, side)});
-    jobs.push_back({"gnp", materialize("gnp", [&] {
+    jobs.push_back({"gnp", materialize("gnp/materialize", [&] {
                       return graph::gnp_connected(n, 8.0 / n, rng);
                     })});
+    materialize("gnp/materialize_pooled", [&] {
+      Rng pooled_rng(n);
+      return graph::gnp_connected(n, 8.0 / n, pooled_rng, &ctx.pool());
+    });
     // Unit-disk graph at mean degree about 10 (n·πr² = 10).
-    materialize("disk", [n] {
+    materialize("disk/materialize", [n] {
       Rng disk_rng(n);
       return graph::random_geometric(
           n, std::sqrt(10.0 / (std::numbers::pi * n)), disk_rng);

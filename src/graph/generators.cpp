@@ -7,6 +7,8 @@
 #include <tuple>
 #include <vector>
 
+#include "parallel/parallel_for.hpp"
+
 namespace radiocast::graph {
 
 Graph path(std::uint32_t n) {
@@ -187,19 +189,78 @@ class UnionFind {
   std::vector<NodeId> parent_;
 };
 
+/// Fewest pairs gnp_connected splits over a pool: about 2 ms of draws, below
+/// which the jumps and the fan-out stop paying for themselves.
+constexpr std::uint64_t kGnpSplitMinPairs = std::uint64_t{1} << 20;
+/// Fewest pairs per chunk, so a chunk's draws (about 2 ns each) outweigh
+/// its jump (tens of microseconds).
+constexpr std::uint64_t kGnpChunkMinPairs = std::uint64_t{1} << 18;
+
 }  // namespace
 
-Graph gnp_connected(std::uint32_t n, double p, Rng& rng) {
+Graph gnp_connected(std::uint32_t n, double p, Rng& rng,
+                    par::ThreadPool* pool) {
   RC_EXPECTS(n >= 1);
   RC_EXPECTS(p >= 0.0 && p <= 1.0);
-  GraphBuilder b(n);
-  UnionFind uf(n);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) {
-      if (rng.bernoulli(p)) {
-        b.add_edge(u, v);
-        uf.unite(u, v);
+  using Edge = std::pair<NodeId, NodeId>;
+  const std::uint64_t pairs = std::uint64_t{n} * (n - 1) / 2;
+  // Linear index of pair (u, u + 1) in (u, v) order.
+  const auto row_start = [&](NodeId u) {
+    return pairs - std::uint64_t{n - u} * (n - u - 1) / 2;
+  };
+  // Pair (u, v) is an edge iff its draw x has (x >> 11) < threshold, which
+  // is exactly rng.bernoulli(p).
+  const std::uint64_t threshold = Rng::bernoulli_threshold(p);
+  // Rows split into chunks of about equal pair count: chunk c covers rows
+  // [first_row[c], first_row[c + 1]) and draws from a copy of rng jumped to
+  // its first pair, so its hits are the serial loop's hits on those rows,
+  // as one presorted run.  Without a pool, or for few pairs, the one chunk
+  // is every row, drawn on the calling thread.
+  const std::size_t chunks =
+      pool == nullptr || pairs < kGnpSplitMinPairs
+          ? 1
+          : std::min<std::uint64_t>(pool->thread_count() * 4,
+                                    pairs / kGnpChunkMinPairs);
+  std::vector<NodeId> first_row(chunks + 1, n);
+  NodeId row = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::uint64_t target = pairs / chunks * c;
+    while (row_start(row) < target) ++row;
+    first_row[c] = row;
+  }
+  std::vector<std::vector<Edge>> runs(chunks);
+  Rng after = rng;  // rng advanced past every pair, by the last chunk
+  const auto draw = [&](std::size_t c) {
+    const NodeId begin = first_row[c], end = first_row[c + 1];
+    Rng start = rng;
+    if (begin > 0) start.jump(row_start(begin));
+    Rng local = start;  // never escapes, so it stays in registers
+    const double mean = p * static_cast<double>(row_start(end) -
+                                                row_start(begin));
+    auto& out = runs[c];
+    // The expected hits plus four standard deviations: the run rarely
+    // regrows, so it holds about one copy of its hits.
+    out.reserve(static_cast<std::size_t>(mean + 4 * std::sqrt(mean) + 64));
+    for (NodeId u = begin; u < end; ++u) {
+      for (NodeId v = u + 1; v < n; ++v) {
+        if ((local.next() >> 11) < threshold) out.emplace_back(u, v);
       }
+    }
+    if (c + 1 == chunks) after = local;
+  };
+  if (chunks == 1) {
+    draw(0);
+  } else {
+    par::parallel_for(*pool, chunks, draw);
+  }
+  rng = after;
+  // Unions replay the hits in (u, v) order, so every root is the one the
+  // pair loop would leave; once one component is left, no root can move.
+  UnionFind uf(n);
+  std::uint32_t components = n;
+  for (const auto& run : runs) {
+    for (auto e = run.begin(); e != run.end() && components > 1; ++e) {
+      if (uf.unite(e->first, e->second)) --components;
     }
   }
   // Stitch components: connect a random member of each non-root component to a
@@ -207,12 +268,25 @@ Graph gnp_connected(std::uint32_t n, double p, Rng& rng) {
   std::vector<NodeId> reps;
   for (NodeId v = 0; v < n; ++v)
     if (uf.find(v) == v) reps.push_back(v);
+  std::vector<Edge> stitch;
   for (std::size_t i = 1; i < reps.size(); ++i) {
     const NodeId other = reps[rng.below(i)];
-    b.add_edge(reps[i], other);
-    uf.unite(reps[i], other);
+    stitch.emplace_back(std::min(reps[i], other), std::max(reps[i], other));
   }
-  return std::move(b).build();
+  // A stitch edge joins two components, so it is never a hit: merging the
+  // sorted stitch edges into the runs gives the strictly increasing edge
+  // stream the CSR is built from, with no copy of the hits and no sort.
+  std::sort(stitch.begin(), stitch.end());
+  return GraphBuilder::from_sorted_stream(n, [&](auto&& edge) {
+    auto s = stitch.begin();
+    for (const auto& run : runs) {
+      for (const Edge& e : run) {
+        for (; s != stitch.end() && *s < e; ++s) edge(s->first, s->second);
+        edge(e.first, e.second);
+      }
+    }
+    for (; s != stitch.end(); ++s) edge(s->first, s->second);
+  });
 }
 
 Graph sparse_gnp_connected(std::uint32_t n, double avg_degree, Rng& rng) {
@@ -531,7 +605,7 @@ Graph figure1() {
   return std::move(b).build();
 }
 
-Graph from_descriptor(const std::string& descriptor) {
+Graph from_descriptor(const std::string& descriptor, par::ThreadPool* pool) {
   std::vector<std::string> parts;
   std::string cur;
   for (const char c : descriptor + ":") {
@@ -599,7 +673,7 @@ Graph from_descriptor(const std::string& descriptor) {
   }
   if (family == "gnp" && args == 3) {
     Rng rng(num(3));
-    return gnp_connected(num(1), real(2), rng);
+    return gnp_connected(num(1), real(2), rng, pool);
   }
   if (family == "sgnp" && args == 3) {
     Rng rng(num(3));

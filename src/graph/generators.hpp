@@ -15,6 +15,10 @@
 #include "graph/graph.hpp"
 #include "support/rng.hpp"
 
+namespace radiocast::par {
+class ThreadPool;
+}  // namespace radiocast::par
+
 namespace radiocast::graph {
 
 /// Path 0-1-…-(n-1).  n >= 1.
@@ -62,8 +66,16 @@ Graph lollipop(std::uint32_t clique, std::uint32_t tail);
 
 /// Erdős–Rényi G(n, p) conditioned on connectivity: after sampling, the
 /// components are chained together with one deterministic-random edge each, so
-/// the result is connected for every seed.
-Graph gnp_connected(std::uint32_t n, double p, Rng& rng);
+/// the result is connected for every seed.  Costs n(n-1)/2 draws, one per
+/// pair in (u, v) order, each an integer compare against a hoisted
+/// threshold.  When `pool` is non-null and the graph has at least about a
+/// million pairs, the rows split into chunks of equal pair count drawn in
+/// parallel, each from a copy of `rng` jumped to its first pair (see
+/// `Rng::jump`), so the graph and the state `rng` is left in are exactly
+/// those of the serial loop at any pool width.  Safe to call from inside a
+/// task on `pool` (see parallel_for.hpp).
+Graph gnp_connected(std::uint32_t n, double p, Rng& rng,
+                    par::ThreadPool* pool = nullptr);
 
 /// Sparse Erdős–Rényi G(n, p) with p = avg_degree / (n - 1), sampled by
 /// geometric skips (Batagelj–Brandes) so construction costs O(m + components)
@@ -115,7 +127,9 @@ Graph figure1();
 /// arguments must be whole decimal numbers below 2^32 and real arguments
 /// whole finite numbers; anything else (junk, signs, trailing characters,
 /// overflow) and any other malformed descriptor violates a precondition
-/// (ContractViolation).
-Graph from_descriptor(const std::string& descriptor);
+/// (ContractViolation).  A non-null `pool` is passed to the generators that
+/// can use one (`gnp`); the graph is the same with or without it.
+Graph from_descriptor(const std::string& descriptor,
+                      par::ThreadPool* pool = nullptr);
 
 }  // namespace radiocast::graph

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace radiocast::par {
@@ -43,12 +44,9 @@ void for_chunks(ThreadPool* pool, std::size_t n, std::size_t grain,
     return;
   }
   const std::size_t chunk = (n + slots - 1) / slots;
-  std::size_t index = 0;
-  for (std::size_t begin = 0; begin < n; begin += chunk, ++index) {
-    const std::size_t end = std::min(n, begin + chunk);
-    pool->submit([index, begin, end, &body] { body(index, begin, end); });
-  }
-  pool->wait_idle();
+  parallel_for(*pool, (n + chunk - 1) / chunk, [&](std::size_t index) {
+    body(index, index * chunk, std::min(n, (index + 1) * chunk));
+  });
 }
 
 /// Appends `emit(i, part)`-produced items for every i in [0, n) to `out`,

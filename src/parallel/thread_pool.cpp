@@ -6,6 +6,12 @@
 
 namespace radiocast::par {
 
+namespace {
+thread_local const ThreadPool* t_pool = nullptr;
+}  // namespace
+
+bool ThreadPool::is_worker_thread() const noexcept { return t_pool == this; }
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -46,6 +52,7 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::worker_loop() {
+  t_pool = this;
   for (;;) {
     std::function<void()> task;
     {

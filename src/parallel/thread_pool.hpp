@@ -39,6 +39,9 @@ class ThreadPool {
 
   std::size_t thread_count() const noexcept { return workers_.size(); }
 
+  /// True when the calling thread is one of this pool's workers.
+  bool is_worker_thread() const noexcept;
+
  private:
   void worker_loop();
 

@@ -165,9 +165,9 @@ GraphRef SweepRunner::add_graph(graph::Graph g, std::string generator) {
 }
 
 SweepRunner::Materialized SweepRunner::materialize(
-    const std::string& descriptor) {
+    const std::string& descriptor) const {
   Materialized out;
-  out.graph = graph::from_descriptor(descriptor);
+  out.graph = graph::from_descriptor(descriptor, &pool_);
   out.hash = graph::canonical_hash(out.graph);
   return out;
 }

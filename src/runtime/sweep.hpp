@@ -225,8 +225,9 @@ class SweepRunner {
   MaterializedMap materialize_unknown(
       const std::vector<const ExperimentSpec*>& specs) const;
 
-  /// Builds and hashes one descriptor's graph.
-  static Materialized materialize(const std::string& descriptor);
+  /// Builds and hashes one descriptor's graph; generators that can split
+  /// their work (`gnp`) fan out on `pool_`, also from inside a pool task.
+  Materialized materialize(const std::string& descriptor) const;
 
   /// `resolve_hash`, taking a descriptor's graph from `prebuilt` when it is
   /// there instead of materializing it.

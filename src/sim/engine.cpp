@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "parallel/parallel_for.hpp"
+
 namespace radiocast::sim {
 
 Engine::Engine(const graph::Graph& g,
@@ -203,22 +205,17 @@ void Engine::collect_decisions(std::span<const NodeId> to_poll) {
   sweep_shards_.resize(shard_count);
   if (active) hints_scratch_.resize(to_poll.size());
   const std::size_t chunk = (to_poll.size() + shard_count - 1) / shard_count;
-  for (std::size_t s = 0; s < shard_count; ++s) {
+  par::parallel_for(*dispatch_pool_, shard_count, [&](std::size_t s) {
     const std::size_t begin = std::min(s * chunk, to_poll.size());
     const std::size_t end = std::min(begin + chunk, to_poll.size());
     SweepShard& sink = sweep_shards_[s];
     sink.decisions.clear();
     sink.max_stamp = 0;
-    if (begin == end) continue;
-    dispatch_pool_->submit([this, &sink, to_poll, begin, end, active] {
-      for (std::size_t i = begin; i < end; ++i) {
-        const auto hint =
-            poll_node(to_poll[i], sink.decisions, sink.max_stamp);
-        if (active) hints_scratch_[i] = hint;
-      }
-    });
-  }
-  dispatch_pool_->wait_idle();
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto hint = poll_node(to_poll[i], sink.decisions, sink.max_stamp);
+      if (active) hints_scratch_[i] = hint;
+    }
+  });
   for (SweepShard& sink : sweep_shards_) {
     for (auto& d : sink.decisions) decisions_.push_back(std::move(d));
     max_stamp_ = std::max(max_stamp_, sink.max_stamp);

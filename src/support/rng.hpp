@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -52,15 +53,17 @@ class Rng {
 
   std::uint64_t next() noexcept {
     const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
+    advance(state_);
     return result;
   }
+
+  /// Advances the state by exactly `k` `next()` calls in O(log k) time:
+  /// the state transition M is linear over GF(2), so M^k = r(M) with
+  /// r(x) = x^k mod P(x), P the transition's degree-256 characteristic
+  /// polynomial, and r(M)·s is 256 Horner steps (Haramoto et al. 2008).
+  /// Lets a parallel consumer start each chunk of one stream at its exact
+  /// offset.
+  void jump(std::uint64_t k) noexcept;
 
   /// Uniform integer in [0, bound).  Uses Lemire's unbiased multiply-shift
   /// rejection method.
@@ -88,12 +91,26 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).
-  double uniform() noexcept {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  double uniform() noexcept { return unit(next()); }
+
+  /// The double `uniform()` returns for the draw `x`: its top 53 bits
+  /// scaled by 2^-53, which is exact.
+  static constexpr double unit(std::uint64_t x) noexcept {
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
   }
 
   /// Bernoulli trial with success probability `p`.
   bool bernoulli(double p) noexcept { return uniform() < p; }
+
+  /// The integer t with `unit(x) < p` exactly when `(x >> 11) < t`, for
+  /// every draw x and every p in [0, 1]: unit(x) = k·2^-53 with k = x >> 11,
+  /// p·2^53 is exact in a double, and for integer k, k < p·2^53 holds
+  /// exactly when k < ceil(p·2^53).  Hoisted out of a loop, it turns each
+  /// `bernoulli(p)` into one shift and one integer compare.
+  static std::uint64_t bernoulli_threshold(double p) noexcept {
+    RC_ASSERT(p >= 0.0 && p <= 1.0);
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
 
   /// Fisher–Yates shuffle of a random-access container.
   template <typename Container>
@@ -111,12 +128,29 @@ class Rng {
   /// its own stream without sharing state.
   Rng split() noexcept { return Rng(next() ^ 0xa0761d6478bd642fULL); }
 
+  /// Equal generators produce equal streams.
+  friend bool operator==(const Rng&, const Rng&) = default;
+
  private:
+  using State = std::array<std::uint64_t, 4>;
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }
 
-  std::array<std::uint64_t, 4> state_{};
+  /// One xoshiro256 state transition (the linear map M; `next()` adds the
+  /// ** output scrambler on top).
+  static constexpr void advance(State& s) noexcept {
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+  }
+
+  State state_{};
 };
 
 }  // namespace radiocast

@@ -399,6 +399,14 @@ TEST(BenchJson, EmittedDocumentParsesWithRequiredKeys) {
   // The active kernel ISA rides in the header so snapshots are attributable.
   EXPECT_EQ(root.at("isa").str,
             sim::simd::to_string(sim::simd::active_isa()));
+  // So is the host and build it ran on, for compare_snapshots.py's
+  // different-host warning.
+  EXPECT_GE(root.at("hw_threads").number, 1);
+  for (const char* key : {"cpu_model", "compiler", "build_type", "git_sha"}) {
+    ASSERT_TRUE(root.has(key)) << "missing header key " << key;
+    EXPECT_EQ(root.at(key).kind, JsonValue::Kind::kString) << key;
+    EXPECT_FALSE(root.at(key).str.empty()) << key;
+  }
   ASSERT_EQ(root.at("sizes").kind, JsonValue::Kind::kArray);
 
   const auto& scenarios = root.at("scenarios");

@@ -380,6 +380,12 @@ TEST(Generators, GoldenDescriptorHashes) {
       {"disk:60:0.7:1", "e1968a993ee8399d"},
       {"gnp:8000:0.001250:7", "72a947921d8b78d6"},
       {"gnp:200:0.02:3", "de43821d275a2dea"},
+      {"gnp:5000:0.002:7", "ad6e00adf1b48471"},
+      {"gnp:2000:0.005:3", "f95e32a6d5803f9f"},
+      {"gnp:4096:0.2:2", "89e4f14980200cb2"},
+      {"gnp:3000:0.5:6", "9d34d306716f0cf6"},
+      {"gnp:1500:1:4", "da3dfbe31a49162a"},    // p = 1
+      {"gnp:1449:0.0:5", "eca19e911ddbd620"},  // p = 0: stitch only
       {"sgnp:8000:10:7", "4d420075818e4c71"},
       {"sgnp:1000:3:5", "2c6a234479184d76"},
       {"sgnp:20000:2:9", "0affe3623a93bca9"},

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -223,9 +224,16 @@ TEST(ParallelGraphResolution, MergedSubmissionIdenticalAcrossPoolWidths) {
       spec("disk:3:0.001:5", 0)};
   const std::vector<runtime::ExperimentSpec> mismatch = {
       spec("path:12", graph::canonical_hash(graph::path(13)))};
+  // Above gnp's split minimum, so it fans out from inside the pooled
+  // materialization; the malformed one fails in the same pool pass.
+  const std::vector<runtime::ExperimentSpec> gnp = {
+      spec("gnp:1500:0.004:3", 0)};
+  const std::vector<runtime::ExperimentSpec> malformed = {
+      spec("gnp:1500:abc:3", 0)};
 
   struct Outcome {
     std::string merged_error;
+    std::string malformed_error;
     std::vector<std::string> formatted;
     std::size_t graphs_after_error = 0;
     std::size_t graphs = 0;
@@ -237,13 +245,21 @@ TEST(ParallelGraphResolution, MergedSubmissionIdenticalAcrossPoolWidths) {
     // The mismatch poisons the merged sweep with the serial loop's own
     // violation, after the graphs of the specs before it are registered.
     try {
-      runner.run_merged({&fresh, &mismatch});
+      runner.run_merged({&fresh, &gnp, &mismatch, &malformed});
     } catch (const ContractViolation& violation) {
       out.merged_error = violation.what();
     }
     out.graphs_after_error = runner.graph_count();
-    const auto results = runner.run_merged({&fresh});
+    try {
+      runner.run_merged({&malformed, &gnp});
+    } catch (const ContractViolation& violation) {
+      out.malformed_error = violation.what();
+    }
+    const auto results = runner.run_merged({&fresh, &gnp});
     out.formatted = analysis::format_sweep(fresh, results[0].results);
+    const auto gnp_lines = analysis::format_sweep(gnp, results[1].results);
+    out.formatted.insert(out.formatted.end(), gnp_lines.begin(),
+                         gnp_lines.end());
     out.graphs = runner.graph_count();
     return out;
   };
@@ -253,10 +269,63 @@ TEST(ParallelGraphResolution, MergedSubmissionIdenticalAcrossPoolWidths) {
             std::string::npos)
       << one.merged_error;
   EXPECT_EQ(one.merged_error, four.merged_error);
+  EXPECT_NE(one.malformed_error.find("'abc'"), std::string::npos)
+      << one.malformed_error;
+  EXPECT_EQ(one.malformed_error, four.malformed_error);
   EXPECT_EQ(one.formatted, four.formatted);
   EXPECT_EQ(one.graphs_after_error, four.graphs_after_error);
   EXPECT_EQ(one.graphs, four.graphs);
-  EXPECT_EQ(one.graphs, 6u);  // five distinct fresh graphs plus path:12
+  EXPECT_EQ(one.graphs, 7u);  // six distinct fresh graphs plus path:12
+}
+
+// gnp_connected splits its draws over a pool by jumping a copy of the
+// generator to each chunk's first pair.  The graph and the state the
+// caller's generator is left in must not depend on the pool or its width;
+// the next draws are pinned to the serial loop's.
+TEST(Generators, GnpIdenticalAcrossPoolWidths) {
+  struct Case {
+    std::uint32_t n;
+    double p;
+    std::uint64_t seed;
+    std::uint64_t next_draw;  ///< serial loop's next draw, 0 = unpinned
+  };
+  const Case cases[] = {
+      {8000, 0.00125, 7, 0xff5274d8a0977e0eULL},
+      {200, 0.02, 3, 0},
+      {5000, 0.002, 7, 0xe0f466e7f165b19aULL},
+      {2000, 0.005, 3, 0},
+      {4096, 0.2, 2, 0xb06486e804902a02ULL},
+      {3000, 0.5, 6, 0},
+      {1500, 1.0, 4, 0},
+      {1449, 0.0, 5, 0},
+      // Mean degree about 1: many multi-vertex components span chunks, so
+      // their roots, and the stitch, depend on the union order.
+      {2000, 0.0005, 9, 0},
+  };
+  std::vector<std::unique_ptr<par::ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    pools.push_back(std::make_unique<par::ThreadPool>(workers));
+  }
+  for (const Case& c : cases) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> outcomes;
+    for (const auto& pool : pools) {
+      Rng rng(c.seed);
+      const graph::Graph g = graph::gnp_connected(c.n, c.p, rng, pool.get());
+      outcomes.emplace_back(graph::canonical_hash(g), rng.next());
+    }
+    for (std::size_t w = 1; w < outcomes.size(); ++w) {
+      EXPECT_EQ(outcomes[w], outcomes[0])
+          << c.n << ":" << c.p << ":" << c.seed << " pool " << w;
+    }
+    if (c.next_draw != 0) {
+      EXPECT_EQ(outcomes[0].second, c.next_draw) << c.n << ":" << c.p;
+    }
+  }
+  // from_descriptor passes its pool through to the generator.
+  EXPECT_EQ(graph::canonical_hash(
+                graph::from_descriptor("gnp:2000:0.005:3", pools[3].get())),
+            graph::canonical_hash(graph::from_descriptor("gnp:2000:0.005:3")));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <numeric>
 #include <set>
 
@@ -106,6 +107,55 @@ TEST(Rng, SplitProducesIndependentStream) {
   EXPECT_NE(a.next(), child.next());
 }
 
+// jump(k) lands exactly where k next() calls do, across the polynomial's
+// degree (255/256/257) and far past it, and jumps compose additively.
+TEST(Rng, JumpMatchesStepping) {
+  // 1048579 = 2^20 + 3.
+  const std::uint64_t ks[] = {0, 1, 2, 255, 256, 257, 1048579, 33550336};
+  for (const std::uint64_t seed : {1u, 42u, 0x9d2c5680u}) {
+    Rng stepped(seed);
+    std::uint64_t steps = 0;
+    for (const std::uint64_t k : ks) {
+      for (; steps < k; ++steps) stepped.next();
+      Rng jumped(seed);
+      jumped.jump(k);
+      EXPECT_TRUE(jumped == stepped) << "seed " << seed << " k " << k;
+      EXPECT_EQ(Rng(jumped).next(), Rng(stepped).next());
+    }
+    const std::pair<std::uint64_t, std::uint64_t> splits[] = {
+        {3, 5}, {256, 1}, {1u << 20, 12345}, {0, 7}};
+    for (const auto& [a, b] : splits) {
+      Rng twice(seed), once(seed);
+      twice.jump(a);
+      twice.jump(b);
+      once.jump(a + b);
+      EXPECT_TRUE(twice == once) << a << " + " << b;
+    }
+  }
+}
+
+// The hoisted integer threshold decides every draw exactly as
+// `uniform() < p` does, including the draws straddling the threshold.
+TEST(Rng, BernoulliThresholdMatchesUniform) {
+  const double below_half = std::nextafter(0.5, 0.0);
+  for (const double p : {0.0, 0x1.0p-53, below_half, 0.5, 10.0 / 8000, 1.0}) {
+    const std::uint64_t t = Rng::bernoulli_threshold(p);
+    Rng a(17), b(17);
+    for (int i = 0; i < 1000000; ++i) {
+      const bool by_uniform = a.uniform() < p;
+      const bool by_threshold = (b.next() >> 11) < t;
+      ASSERT_EQ(by_uniform, by_threshold) << "p " << p << " draw " << i;
+    }
+    for (const std::uint64_t k : {t, t - 1}) {
+      if (k >= (std::uint64_t{1} << 53)) continue;  // t - 1 at p = 0
+      const std::uint64_t x = (k << 11) | 0x7ff;
+      EXPECT_EQ(Rng::unit(x) < p, (x >> 11) < t) << "p " << p << " k " << k;
+    }
+  }
+  EXPECT_EQ(Rng::bernoulli_threshold(0.0), 0u);
+  EXPECT_EQ(Rng::bernoulli_threshold(1.0), std::uint64_t{1} << 53);
+}
+
 TEST(Table, RendersAlignedColumns) {
   TextTable t({"name", "n"});
   t.row().add("path").add(16);
@@ -171,6 +221,48 @@ TEST(ParallelMap, ResultsInIndexOrder) {
       par::parallel_map(pool, 257, [](std::size_t i) { return i * i; });
   ASSERT_EQ(out.size(), 257u);
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
+}
+
+// A fan-out issued from inside a task on the same pool finishes (the caller
+// runs whatever no idle worker picks up), results keep index order, and an
+// inner exception reaches only the call whose body threw.
+TEST(ParallelFor, NestedOnSamePoolCompletes) {
+  par::ThreadPool pool(2);
+  const auto sums = par::parallel_map(pool, 16, [&](std::size_t i) {
+    std::vector<std::size_t> inner(100);
+    par::parallel_for(pool, inner.size(),
+                      [&](std::size_t j) { inner[j] = i * 1000 + j; });
+    return std::accumulate(inner.begin(), inner.end(), std::size_t{0});
+  });
+  ASSERT_EQ(sums.size(), 16u);
+  for (std::size_t i = 0; i < sums.size(); ++i) {
+    EXPECT_EQ(sums[i], i * 1000 * 100 + 99 * 100 / 2) << i;
+  }
+
+  const auto caught = par::parallel_map(pool, 8, [&](std::size_t i) {
+    try {
+      par::parallel_for(pool, 50, [&](std::size_t j) {
+        if (i % 2 == 1 && j == 17) throw std::runtime_error("inner");
+      });
+      return 0;
+    } catch (const std::runtime_error&) {
+      return 1;
+    }
+  });
+  for (std::size_t i = 0; i < caught.size(); ++i) {
+    EXPECT_EQ(caught[i], static_cast<int>(i % 2)) << i;
+  }
+
+  const auto nested_throw = [&](std::size_t i) {
+    par::parallel_for(pool, 10, [&](std::size_t j) {
+      if (i == 2 && j == 3) throw std::logic_error("uncaught");
+    });
+  };
+  EXPECT_THROW(par::parallel_for(pool, 4, nested_throw), std::logic_error);
+  // The pool is still usable afterwards.
+  const auto again =
+      par::parallel_map(pool, 5, [](std::size_t i) { return i + 1; });
+  EXPECT_EQ(again, (std::vector<std::size_t>{1, 2, 3, 4, 5}));
 }
 
 TEST(ParallelFor, EmptyRangeIsNoop) {
