@@ -33,9 +33,10 @@ void run(Context& ctx) {
             rb = runtime::run_scheme("b", w.graph, w.source, {}, exec);
           });
           b.rounds = rb.completion_round;
-          b.transmissions = rb.data_tx_count + rb.stay_count;
+          b.transmissions = rb.tx_total;
           b.ok = rb.all_informed;
-          b.extra = {{"label_bits", 2.0}};
+          b.extra = {{"label_bits", 2.0},
+                     {"polls", static_cast<double>(rb.polls)}};
           group.push_back(std::move(b));
 
           Sample rr = base("round_robin");
@@ -44,8 +45,10 @@ void run(Context& ctx) {
             rrr = runtime::run_scheme("round-robin", w.graph, w.source);
           });
           rr.rounds = rrr.completion_round;
+          rr.transmissions = rrr.tx_total;
           rr.ok = rrr.all_informed;
-          rr.extra = {{"label_bits", static_cast<double>(rrr.label_bits)}};
+          rr.extra = {{"label_bits", static_cast<double>(rrr.label_bits)},
+                      {"polls", static_cast<double>(rrr.polls)}};
           group.push_back(std::move(rr));
 
           Sample cr = base("color_robin");
@@ -54,8 +57,10 @@ void run(Context& ctx) {
             crr = runtime::run_scheme("color-robin", w.graph, w.source);
           });
           cr.rounds = crr.completion_round;
+          cr.transmissions = crr.tx_total;
           cr.ok = crr.all_informed;
-          cr.extra = {{"label_bits", static_cast<double>(crr.label_bits)}};
+          cr.extra = {{"label_bits", static_cast<double>(crr.label_bits)},
+                      {"polls", static_cast<double>(crr.polls)}};
           group.push_back(std::move(cr));
 
           Sample dk = base("decay");
@@ -65,8 +70,10 @@ void run(Context& ctx) {
                                       {.seed = 1234 + i});
           });
           dk.rounds = dkr.completion_round;
+          dk.transmissions = dkr.tx_total;
           dk.ok = dkr.all_informed;
-          dk.extra = {{"label_bits", 0.0}};
+          dk.extra = {{"label_bits", 0.0},
+                      {"polls", static_cast<double>(dkr.polls)}};
           group.push_back(std::move(dk));
           return group;
         });

@@ -15,7 +15,6 @@
 ///    O(D log n + log² n) completion.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 
@@ -27,13 +26,6 @@ namespace radiocast::baselines {
 
 using graph::NodeId;
 
-/// Cap on how far ahead the robin protocols hint.  An earlier-than-needed
-/// hint is always contract-safe (the extra poll returns nullopt), and a
-/// hint beyond the engine's calendar ring would land in its far-wake heap —
-/// which dense graphs churn, because every reception re-arms the node and
-/// strands the heap entry.  48 stays comfortably inside the 64-slot ring.
-inline constexpr std::uint64_t kRobinHintHorizon = 48;
-
 /// Round-robin over unique ids (label = (id, modulus)).
 class RoundRobinProtocol final : public sim::Protocol {
  public:
@@ -44,14 +36,17 @@ class RoundRobinProtocol final : public sim::Protocol {
   void on_hear(const sim::Message& m) override;
   bool informed() const override { return payload_.has_value(); }
 
-  /// Activity contract: an uninformed node is silent until it hears µ (the
-  /// engine re-arms on delivery); an informed one transmits only in its own
-  /// slot, every `modulus` rounds (hint capped at kRobinHintHorizon).
+  /// Activity contract: an uninformed node is silent until it hears µ; an
+  /// informed one transmits only in its own slot, every `modulus` rounds.
+  /// The hint is the exact next slot, and it is already exact right after
+  /// the reception that informs the node, so the protocol opts into the
+  /// post-hear re-query: a node is polled once per transmission.
   std::uint64_t next_active_round() const override {
     if (!payload_) return kIdle;
     const std::uint64_t d = (id_ + modulus_ - round_ % modulus_) % modulus_;
-    return round_ + std::min(d + 1, kRobinHintHorizon);
+    return round_ + d + 1;
   }
+  bool wants_post_hear_hint() const override { return true; }
   void skip_rounds(std::uint64_t rounds) override { round_ += rounds; }
 
  private:
@@ -76,8 +71,9 @@ class ColorRobinProtocol final : public sim::Protocol {
   std::uint64_t next_active_round() const override {
     if (!payload_) return kIdle;
     const std::uint64_t d = (color_ + count_ - round_ % count_) % count_;
-    return round_ + std::min(d + 1, kRobinHintHorizon);
+    return round_ + d + 1;
   }
+  bool wants_post_hear_hint() const override { return true; }
   void skip_rounds(std::uint64_t rounds) override { round_ += rounds; }
 
  private:
@@ -97,19 +93,42 @@ class DecayProtocol final : public sim::Protocol {
   void on_hear(const sim::Message& m) override;
   bool informed() const override { return payload_.has_value(); }
 
-  /// Uninformed nodes never act (and, crucially, never draw from the rng,
-  /// matching the scan path's draw sequence); informed ones flip a coin
-  /// every round, so they are woken every round.
+  /// Uninformed nodes never act and never draw from the rng.  An informed
+  /// node flips one coin per round it is up, in round order; it draws those
+  /// coins ahead, up to the first one that says transmit, so the hint is
+  /// exactly that round — both after a poll and right after the reception
+  /// that informs the node (hence the post-hear opt-in).  The draw
+  /// sequence is the one a node polled every round would make.
   std::uint64_t next_active_round() const override {
-    return payload_ ? round_ + 1 : kIdle;
+    return payload_ ? next_tx_ : kIdle;
   }
+  bool wants_post_hear_hint() const override { return true; }
   void skip_rounds(std::uint64_t rounds) override { round_ += rounds; }
 
+  /// A crash window [crashed_from, round_] swallowed rounds whose coins the
+  /// lookahead already drew.  Rewinds to the generator state at `anchor_`,
+  /// redraws the coins of the rounds before the crash (all "listen": the
+  /// transmission they led to lies inside or after the window) and draws
+  /// ahead again from the current round, as if the node had been polled
+  /// in every round it was up and in no other.
+  void on_restart(std::uint64_t crashed_from) override;
+
  private:
+  /// The round-r coin: one uniform draw, true with probability 2^{-j} at
+  /// phase step j = (r-1) mod phase_len_.
+  bool coin(std::uint64_t r);
+  /// Saves the generator as the anchor for round_ and draws coins for
+  /// rounds round_+1, round_+2, ... until one says transmit (step 0 always
+  /// does, so at most phase_len_ draws).
+  void draw_ahead();
+
   std::uint32_t phase_len_;
   std::optional<std::uint32_t> payload_;
   std::uint64_t round_ = 0;
-  Rng rng_;
+  std::uint64_t next_tx_ = 0;       ///< informed: the next transmitting round
+  std::uint64_t anchor_round_ = 0;  ///< the coins of rounds <= this are final
+  Rng rng_;                         ///< state after the coin of round next_tx_
+  Rng anchor_;                      ///< state after the coin of anchor_round_
 };
 
 }  // namespace radiocast::baselines

@@ -96,9 +96,13 @@ std::optional<Message> ArbProtocol::on_round() {
 }
 
 std::uint64_t ArbProtocol::next_active_round() const {
-  std::uint64_t next = std::min({phase1_.next_core_active(round_),
-                                 phase2_.next_core_active(round_),
-                                 phase3_.next_core_active(round_)});
+  // Owner rules on each phase's just-informed round: z initiates the
+  // phase-1 ack; the actual (non-coordinator) source sG computes its
+  // countdown at the poll after "ready" arrives; phase 3 has none.
+  const bool is_sg = own_mu_ && !is_coordinator_;
+  std::uint64_t next = std::min({phase1_.next_core_active(round_, is_z_),
+                                 phase2_.next_core_active(round_, is_sg),
+                                 phase3_.next_core_active(round_, false)});
   // Coordinator-as-source timer: phase 3 starts at the first round strictly
   // after phase2_start + T (polling every round once that bound has passed
   // mirrors the scan's ">" guard exactly).

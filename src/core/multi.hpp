@@ -18,6 +18,7 @@
 /// exactly the same number of rounds; the tests assert that.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -38,16 +39,26 @@ class MultiMessageProtocol final : public sim::Protocol {
   /// for engine stop conditions use `received_count()` instead.
   bool informed() const override { return !received_.empty() || is_source_; }
 
-  /// Activity contract: every rule is either a stamped-core rule (the core
-  /// hint covers it), reception-driven (ack forwarding, instance re-arming
-  /// on a successor tag — the engine re-arms on delivery), or the source's
-  /// pending instance start, which is set in the constructor or by the ack
-  /// reception one round earlier and always fires at the next poll.
+  /// Activity contract: every rule is a stamped-core rule (the core hint
+  /// covers it, with z's ack initiation as the owner rule), B_ack's ack
+  /// forwarding (the branch below: inert post-poll, live right after the
+  /// ack reception), or the source's pending instance start, which is set
+  /// in the constructor or by the ack reception and fires at the next
+  /// poll.  A reception that re-arms the instance on a successor tag
+  /// informs the fresh core in the same on_hear, so the core hint covers
+  /// it too.  The hint is therefore exact after every event, and the
+  /// protocol opts into the post-hear re-query.
   std::uint64_t next_active_round() const override {
     if (start_pending_) return round_ + 1;
     if (!core_) return kIdle;  // session complete (source) — never acts again
-    return core_->next_core_active(round_);
+    std::uint64_t next = core_->next_core_active(round_, label_.x3);
+    if (ack_heard_local_ == round_ &&
+        core_->has_transmit_stamp(ack_heard_stamp_)) {
+      next = std::min(next, round_ + 1);
+    }
+    return next;
   }
+  bool wants_post_hear_hint() const override { return true; }
   void skip_rounds(std::uint64_t rounds) override { round_ += rounds; }
 
   /// Observer: payloads received so far, in order.

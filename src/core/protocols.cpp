@@ -157,16 +157,17 @@ void StampedCore::hear(const Message& m, std::uint64_t r) {
   }
 }
 
-std::uint64_t StampedCore::next_core_active(std::uint64_t r) const {
+std::uint64_t StampedCore::next_core_active(
+    std::uint64_t r, bool owner_just_informed_rule) const {
   std::uint64_t next = sim::Protocol::kIdle;
   if (origin_) {
     // The one-off initial transmission fires at the next poll.
     if (!origin_started_) return r + 1;
   } else if (payload_ && first_data_local_ != 0) {
-    // Wake for the just-informed round unconditionally: x2 fires there, and
-    // the owners hang their own just-informed logic (z's ack initiation)
-    // off the same round.
-    if (r < first_data_local_ + 1) {
+    // The just-informed round wakes the node only if something fires
+    // there: x2's "stay", or the owner's own rule (z's ack initiation).
+    if ((label_.x2 || owner_just_informed_rule) &&
+        r < first_data_local_ + 1) {
       next = std::min(next, first_data_local_ + 1);
     }
     if (label_.x1 && r < first_data_local_ + 2) {

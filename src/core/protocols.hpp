@@ -90,13 +90,18 @@ class StampedCore {
   /// Activity hint shared by the owners' `next_active_round` overrides: the
   /// earliest round > r at which any core rule could fire without a further
   /// reception.  An un-started origin fires at its next poll; an informed
-  /// non-origin can act only in the just-informed round (x2 / the owners'
-  /// ack initiation) and the x1 round right after; the stay-triggered
-  /// retransmission is covered by the stay_heard_local_ branch, which is
-  /// inert at post-poll queries but makes the hint accurate immediately
-  /// after the "stay" reception (the owners' post-hear-hint opt-in relies
-  /// on it).  `sim::Protocol::kIdle` when no rule applies.
-  std::uint64_t next_core_active(std::uint64_t r) const;
+  /// non-origin can act only in the just-informed round and the x1 round
+  /// right after.  The just-informed round is a wake only when something
+  /// fires there: x2's "stay", or a rule the owner hangs on that round,
+  /// which the owner declares with `owner_just_informed_rule` (B_ack's z
+  /// initiating the ack, B_arb's sG computing its countdown).  The
+  /// stay-triggered retransmission is covered by the stay_heard_local_
+  /// branch, which is inert at post-poll queries but makes the hint
+  /// accurate immediately after the "stay" reception (the owners'
+  /// post-hear-hint opt-in relies on it).  `sim::Protocol::kIdle` when no
+  /// rule applies.
+  std::uint64_t next_core_active(std::uint64_t r,
+                                 bool owner_just_informed_rule) const;
 
   bool informed() const noexcept { return payload_.has_value(); }
   bool is_origin() const noexcept { return origin_; }
@@ -156,7 +161,8 @@ class AckBroadcastProtocol final : public sim::Protocol {
     return core_.informed() || core_.is_origin();
   }
 
-  /// The core hint covers the stamped-broadcast rules; the ack-forwarding
+  /// The core hint covers the stamped-broadcast rules (z's ack initiation
+  /// is the owner rule on the just-informed round); the ack-forwarding
   /// branch below is inert post-poll but fires when queried right after an
   /// ack reception, making the hint event-accurate — so B_ack opts into the
   /// post-hear re-query.  Resilient informed nodes retry on their slot
@@ -166,7 +172,7 @@ class AckBroadcastProtocol final : public sim::Protocol {
         !(core_.is_origin() && ack_received_round_ != 0)) {
       return kAlwaysActive;
     }
-    std::uint64_t next = core_.next_core_active(round_);
+    std::uint64_t next = core_.next_core_active(round_, label_.x3);
     // Lines 28-31: an ack heard *this* round is forwarded next round iff we
     // transmitted µ in the stamped round.
     if (ack_heard_local_ == round_ &&
@@ -227,8 +233,11 @@ class CommonRoundProtocol final : public sim::Protocol {
   /// `next_core_active` to "next poll" inside the same `on_hear` — so the
   /// protocol opts into the post-hear re-query.
   std::uint64_t next_active_round() const override {
-    std::uint64_t next = std::min(phase1_.next_core_active(round_),
-                                  phase2_.next_core_active(round_));
+    // Phase 1 is B_ack (z initiates the ack when just informed); phase 2 is
+    // a stamped B with no owner rule of its own.
+    std::uint64_t next =
+        std::min(phase1_.next_core_active(round_, label_.x3),
+                 phase2_.next_core_active(round_, false));
     if (ack_heard_local_ == round_ &&
         phase1_.has_transmit_stamp(ack_heard_stamp_)) {
       next = std::min(next, round_ + 1);

@@ -277,10 +277,11 @@ bool Engine::step() {
 
   // Phase 0 (faults only): advance crash/jam state and recover restarts.
   // A restarting node kept its protocol state but missed every crashed
-  // round; catch its clock up to round_-1, notify it, then poll it this
-  // round like any awake node (kScan lists it naturally; kActiveSet merges
-  // it into the woken set below — its calendar wake may have fired, and
-  // been consumed, mid-crash).
+  // round; catch its clock up to round_-1, notify it (with the round its
+  // merged crash window began), then poll it this round like any awake
+  // node (kScan lists it naturally; kActiveSet merges it into the woken set
+  // below — its calendar wake may have fired, and been consumed,
+  // mid-crash).
   if (fault_session_) {
     restarted_.clear();
     fault_session_->begin_round(round_, restarted_);
@@ -289,7 +290,7 @@ bool Engine::step() {
         protocols_[v]->skip_rounds(round_ - 1 - local_round_[v]);
       }
       local_round_[v] = round_ - 1;
-      protocols_[v]->on_restart();
+      protocols_[v]->on_restart(fault_session_->crashed_since(v));
     }
   }
 

@@ -170,7 +170,8 @@ std::string format_fault_plan(const FaultPlan& plan) {
 FaultSession::FaultSession(const FaultPlan& plan, NodeId node_count)
     : loss_ppm_(plan.edge_loss_ppm),
       seed_(plan.seed),
-      crash_depth_(node_count, 0) {
+      crash_depth_(node_count, 0),
+      crash_from_(node_count, 0) {
   events_.reserve(2 * (plan.crashes.size() + plan.jams.size()));
   for (const CrashWindow& w : plan.crashes) {
     events_.push_back({w.from_round, EventKind::kCrash, w.node});
@@ -195,7 +196,10 @@ void FaultSession::begin_round(std::uint64_t round,
     const Event& e = events_[next_event_++];
     switch (e.kind) {
       case EventKind::kCrash:
-        if (crash_depth_[e.node]++ == 0) ++crashed_count_;
+        if (crash_depth_[e.node]++ == 0) {
+          ++crashed_count_;
+          crash_from_[e.node] = e.round;
+        }
         break;
       case EventKind::kRestart:
         if (--crash_depth_[e.node] == 0) {

@@ -16,8 +16,9 @@
 ///  - **Crash windows**: a node crashed in rounds [from, until] neither
 ///    transmits nor hears anything.  At round until+1 it restarts with its
 ///    protocol state intact (fail-stop with state retention, not amnesia):
-///    the engine catches its local clock up, calls `Protocol::on_restart()`,
-///    and re-arms its calendar wake.
+///    the engine catches its local clock up, calls
+///    `Protocol::on_restart(from)` with the first round of the (merged)
+///    window, and re-arms its calendar wake.
 ///  - **Jam windows**: in a jammed round every non-crashed listener
 ///    experiences collision/silence — no deliveries happen, and in
 ///    collision-detection mode every such listener receives the
@@ -146,6 +147,11 @@ class FaultSession {
 
   bool any_crashed() const noexcept { return crashed_count_ > 0; }
   bool crashed(NodeId v) const { return crash_depth_[v] != 0; }
+  /// First round of v's current merged crash window — or, once v has
+  /// restarted, of the window it just left (0 = never crashed).  Windows
+  /// that overlap or touch merge, so this is the round v went down, not
+  /// the start of the last clause that kept it down.
+  std::uint64_t crashed_since(NodeId v) const { return crash_from_[v]; }
   /// True iff the round passed to the last `begin_round` is jammed.
   bool jammed() const noexcept { return jam_depth_ > 0; }
 
@@ -173,6 +179,7 @@ class FaultSession {
   std::vector<Event> events_;  ///< sorted by (round, kind, node)
   std::size_t next_event_ = 0;
   std::vector<std::uint8_t> crash_depth_;  ///< overlapping-window counter
+  std::vector<std::uint64_t> crash_from_;  ///< see crashed_since()
   std::size_t crashed_count_ = 0;
   std::size_t jam_depth_ = 0;
   std::uint64_t lost_deliveries_ = 0;

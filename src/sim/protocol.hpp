@@ -102,13 +102,19 @@ class Protocol {
   virtual bool wants_post_hear_hint() const { return false; }
 
   /// Fault-injection notification (sim/faults.hpp): this node just recovered
-  /// from a crash window.  The model is fail-stop with state retention — the
+  /// from a crash window that began in local round `crashed_from` (the
+  /// first round of the merged window; overlapping or touching windows
+  /// count as one).  The model is fail-stop with state retention — the
   /// protocol's state survives, it simply missed every round of the window
-  /// (neither transmitted nor heard).  By the time this is called the local
-  /// clock has already been caught up (via `skip_rounds`) to the round
-  /// *before* the recovery round; `on_round` for the recovery round follows.
-  /// Default: nothing — most protocols just resume where they stopped.
-  virtual void on_restart() {}
+  /// (neither transmitted nor heard nor was polled).  By the time this is
+  /// called the local clock has already been caught up (via `skip_rounds`)
+  /// to the round *before* the recovery round; `on_round` for the recovery
+  /// round follows, and the engine re-queries the activity hint after it.
+  /// A protocol that computed ahead for rounds it then spent crashed (decay
+  /// draws its coins up to the next transmission) uses `crashed_from` to
+  /// undo the work for the rounds it never saw.  Default: nothing — most
+  /// protocols just resume where they stopped.
+  virtual void on_restart(std::uint64_t crashed_from) { (void)crashed_from; }
 };
 
 }  // namespace radiocast::sim

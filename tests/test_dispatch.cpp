@@ -503,8 +503,8 @@ TEST(DispatchSharded, ShardedActiveSetMatchesSerialActiveSet) {
 }
 
 TEST(DispatchSharded, ShardedSweepOnPaperProtocols) {
-  // B on a grid with the sweep sharded every round: the full pipeline
-  // (hints, calendar, pool sweep, backend) in one execution.
+  // B and decay on a grid with the sweep sharded every round: the full
+  // pipeline (hints, calendar, pool sweep, backend) in one execution.
   const Graph g = graph::grid(9, 9);
   const auto labeling = core::label_broadcast(g, 0);
   sim::Engine serial(g, core::make_broadcast_protocols(labeling, 3),
@@ -521,6 +521,29 @@ TEST(DispatchSharded, ShardedSweepOnPaperProtocols) {
                     max_rounds);
   ASSERT_TRUE(serial.all_informed());
   expect_engines_equal(serial, sharded, "B sharded sweep grid 9x9");
+
+  // Decay draws its coins ahead inside on_round/on_hear, so with the sweep
+  // sharded that per-node lookahead runs on the pool workers.
+  const runtime::Scheme& decay =
+      *runtime::SchemeRegistry::instance().find("decay");
+  runtime::SchemeOptions decay_opt;
+  decay_opt.seed = 0x5A5;
+  const auto plan = decay.label(g, 0, decay_opt);
+  sim::Engine decay_serial(g, decay.make_protocols(g, 0, *plan, decay_opt),
+                           opts(sim::DispatchKind::kActiveSet,
+                                sim::BackendKind::kScalar, false, 1));
+  sim::Engine decay_sharded(g, decay.make_protocols(g, 0, *plan, decay_opt),
+                            opts(sim::DispatchKind::kActiveSet,
+                                 sim::BackendKind::kScalar, false, 4,
+                                 /*shard_min_polls=*/1));
+  const auto decay_budget = decay.round_budget(g, *plan, decay_opt);
+  decay_serial.run_until(
+      [](const sim::Engine& e) { return e.all_informed(); }, decay_budget);
+  decay_sharded.run_until(
+      [](const sim::Engine& e) { return e.all_informed(); }, decay_budget);
+  ASSERT_TRUE(decay_serial.all_informed());
+  expect_engines_equal(decay_serial, decay_sharded,
+                       "decay sharded sweep grid 9x9");
 }
 
 // ---------------------------------------------------------------------------

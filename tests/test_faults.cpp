@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <optional>
 #include <string>
@@ -66,7 +67,10 @@ class HashTalker final : public sim::Protocol {
     round_ += rounds;
     skipped_ += rounds;
   }
-  void on_restart() override { restart_rounds_.push_back(round_); }
+  void on_restart(std::uint64_t crashed_from) override {
+    restart_rounds_.push_back(round_);
+    crashed_from_.push_back(crashed_from);
+  }
 
   const std::vector<std::pair<std::uint64_t, sim::Message>>& heard() const {
     return heard_;
@@ -76,6 +80,9 @@ class HashTalker final : public sim::Protocol {
   }
   const std::vector<std::uint64_t>& restart_rounds() const {
     return restart_rounds_;
+  }
+  const std::vector<std::uint64_t>& crashed_from() const {
+    return crashed_from_;
   }
   std::uint64_t skipped() const { return skipped_; }
 
@@ -88,6 +95,7 @@ class HashTalker final : public sim::Protocol {
   std::vector<std::pair<std::uint64_t, sim::Message>> heard_;
   std::vector<std::uint64_t> collision_rounds_;
   std::vector<std::uint64_t> restart_rounds_;
+  std::vector<std::uint64_t> crashed_from_;
 };
 
 std::vector<std::unique_ptr<sim::Protocol>> hash_talkers(std::uint32_t n,
@@ -193,6 +201,9 @@ TEST(FaultSession, TouchingCrashWindowsNeverRestartInBetween) {
       EXPECT_EQ(restarted, std::vector<NodeId>{2});
     } else if (r == 10) {
       EXPECT_EQ(restarted, std::vector<NodeId>{1});
+      // The touching windows merged: node 1 went down in round 2.
+      EXPECT_EQ(session.crashed_since(1), 2u);
+      EXPECT_EQ(session.crashed_since(2), 4u);
     } else {
       EXPECT_TRUE(restarted.empty()) << "round " << r;
     }
@@ -343,43 +354,157 @@ TEST(Faults, CrashWindowSilencesAndRestartNotifies) {
   const auto& talker = dynamic_cast<const HashTalker&>(engine.protocol(3));
   ASSERT_EQ(talker.restart_rounds().size(), 1u);
   EXPECT_EQ(talker.restart_rounds()[0], 9u);
+  EXPECT_EQ(talker.crashed_from(), std::vector<std::uint64_t>{4});
   EXPECT_EQ(talker.skipped(), 6u);  // rounds 4..9 were never polled
+}
+
+/// Runs `name` on `g` from `source` under `plan`, once per dispatch
+/// strategy, asserts identical results and traces, and returns the scan
+/// run.
+runtime::SchemeResult expect_scan_equals_active(
+    const char* name, const Graph& g, NodeId source,
+    const sim::FaultPlan& plan, const runtime::SchemeOptions& opt,
+    const std::string& what) {
+  const runtime::Scheme* scheme =
+      runtime::SchemeRegistry::instance().find(name);
+  EXPECT_NE(scheme, nullptr) << name;
+  if (scheme == nullptr) return {};
+  const runtime::PlanPtr plan_ptr = scheme->label(g, source, opt);
+
+  runtime::ExecutionConfig scan;
+  scan.trace = sim::TraceLevel::kFull;
+  scan.dispatch = sim::DispatchKind::kScan;
+  scan.faults = plan;
+  scan.max_rounds = 600;
+  runtime::ExecutionConfig active = scan;
+  active.dispatch = sim::DispatchKind::kActiveSet;
+
+  const auto a =
+      runtime::run_with_plan(*scheme, g, source, plan_ptr, opt, scan);
+  const auto b =
+      runtime::run_with_plan(*scheme, g, source, plan_ptr, opt, active);
+  EXPECT_EQ(a.all_informed, b.all_informed) << what;
+  EXPECT_EQ(a.rounds, b.rounds) << what;
+  EXPECT_EQ(a.completion_round, b.completion_round) << what;
+  EXPECT_EQ(a.tx_total, b.tx_total) << what;
+  expect_traces_equal(a.trace, b.trace, what + " scan-vs-active");
+  return a;
 }
 
 TEST(Faults, CrashRestartTraceIdenticalAcrossDispatchStrategies) {
   // The registry schemes drive real calendar activity (kIdle sleeps, far
-  // wakes); a crash through their schedule is exactly what can desync the
-  // active-set dispatcher if the wake is not re-armed on restart.
+  // wakes, decay's drawn-ahead coins); a crash through their schedule is
+  // exactly what can desync the active-set dispatcher if the wake is not
+  // re-armed on restart.  The first plan only hits nodes the broadcast has
+  // not reached yet; the second crashes nodes that are already informed —
+  // the source in rounds 3-7, then its successors while they relay — so a
+  // protocol that planned ahead across the window must undo that plan.
   const Graph g = graph::path(24);
-  sim::FaultPlan plan;
-  plan.crashes.push_back({7, 5, 40});
-  plan.crashes.push_back({15, 20, 33});
-  plan.edge_loss_ppm = 50000;  // 5%
-  plan.seed = 13;
+  sim::FaultPlan uninformed;
+  uninformed.crashes.push_back({7, 5, 40});
+  uninformed.crashes.push_back({15, 20, 33});
+  uninformed.edge_loss_ppm = 50000;  // 5%
+  uninformed.seed = 13;
+  sim::FaultPlan informed;
+  informed.crashes.push_back({0, 3, 7});
+  informed.crashes.push_back({1, 6, 12});
+  informed.crashes.push_back({2, 9, 14});
 
-  for (const char* name : {"b", "ack", "arb"}) {
-    const runtime::Scheme* scheme =
-        runtime::SchemeRegistry::instance().find(name);
-    ASSERT_NE(scheme, nullptr) << name;
+  runtime::SchemeOptions opt;
+  opt.seed = 3;
+  opt.payloads = {7, 8};  // multi: two back-to-back instances
+  for (const char* name : {"b", "ack", "arb", "decay", "multi",
+                           "common-round", "round-robin", "color-robin"}) {
+    expect_scan_equals_active(name, g, 0, uninformed, opt,
+                              std::string(name) + " uninformed crashes");
+    expect_scan_equals_active(name, g, 0, informed, opt,
+                              std::string(name) + " informed crashes");
+  }
+}
+
+/// Decay as a node polled every round runs it: one coin per informed poll,
+/// no hint.  The oracle for the registry's drawn-ahead DecayProtocol.
+class CoinPerPollDecay final : public sim::Protocol {
+ public:
+  CoinPerPollDecay(std::uint32_t n, std::uint64_t seed,
+                   std::optional<std::uint32_t> source_message)
+      : phase_len_(n <= 1 ? 2 : std::bit_width(n - 1) + 1),
+        payload_(source_message),
+        rng_(seed) {}
+
+  std::optional<sim::Message> on_round() override {
+    ++round_;
+    if (!payload_) return std::nullopt;
+    const std::uint64_t step = (round_ - 1) % phase_len_;
+    if (!rng_.bernoulli(1.0 / static_cast<double>(1ull << step))) {
+      return std::nullopt;
+    }
+    return sim::Message{sim::MsgKind::kData, 0, *payload_, std::nullopt};
+  }
+  void on_hear(const sim::Message& m) override {
+    if (m.kind == sim::MsgKind::kData && !payload_) payload_ = m.payload;
+  }
+  bool informed() const override { return payload_.has_value(); }
+  void skip_rounds(std::uint64_t rounds) override { round_ += rounds; }
+
+ private:
+  std::uint32_t phase_len_;
+  std::optional<std::uint32_t> payload_;
+  std::uint64_t round_ = 0;
+  Rng rng_;
+};
+
+TEST(Faults, DecayRandomFaultPlansTraceIdenticalAcrossDispatch) {
+  // Decay draws its coins ahead to the next transmission, so every crash
+  // window that swallows drawn coins forces a rewind; loss and jam change
+  // who gets informed when.  Seeded random plans pin both dispatch
+  // strategies to each other and to the coin-per-poll oracle run on the
+  // scan (seeded per node exactly as the registry seeds DecayProtocol).
+  Rng rng(0xDECA7);
+  for (int iter = 0; iter < 40; ++iter) {
+    const NodeId n = static_cast<NodeId>(rng.between(8, 40));
+    const Graph g = iter % 2 == 0 ? graph::gnp_connected(n, 0.25, rng)
+                                  : graph::path(n);
+    const NodeId source = static_cast<NodeId>(rng.below(n));
+    sim::FaultPlan plan;
+    plan.edge_loss_ppm = static_cast<std::uint32_t>(rng.below(300000));
+    plan.seed = rng.next();
+    const auto crashes = rng.below(6);
+    for (std::uint64_t c = 0; c < crashes; ++c) {
+      const auto from = static_cast<std::uint64_t>(rng.between(1, 60));
+      plan.crashes.push_back({static_cast<NodeId>(rng.below(n)), from,
+                              from + rng.below(12)});
+    }
+    // Half the plans crash the source early, while it is informed.
+    if (iter % 2 == 1) plan.crashes.push_back({source, 2, 2 + rng.below(8)});
+    if (rng.below(2) == 0) {
+      const auto from = static_cast<std::uint64_t>(rng.between(1, 40));
+      plan.jams.push_back({from, from + rng.below(4)});
+    }
     runtime::SchemeOptions opt;
-    opt.seed = 3;
-    const runtime::PlanPtr plan_ptr = scheme->label(g, 0, opt);
+    opt.seed = rng.next();
+    const std::string what = "decay iter " + std::to_string(iter) + " " +
+                             sim::format_fault_plan(plan);
+    const auto run =
+        expect_scan_equals_active("decay", g, source, plan, opt, what);
 
-    runtime::ExecutionConfig scan;
-    scan.trace = sim::TraceLevel::kFull;
-    scan.dispatch = sim::DispatchKind::kScan;
-    scan.faults = plan;
-    scan.max_rounds = 600;
-    runtime::ExecutionConfig active = scan;
-    active.dispatch = sim::DispatchKind::kActiveSet;
-
-    const auto a = runtime::run_with_plan(*scheme, g, 0, plan_ptr, opt, scan);
-    const auto b =
-        runtime::run_with_plan(*scheme, g, 0, plan_ptr, opt, active);
-    EXPECT_EQ(a.all_informed, b.all_informed) << name;
-    EXPECT_EQ(a.rounds, b.rounds) << name;
-    expect_traces_equal(a.trace, b.trace,
-                        std::string(name) + " scan-vs-active");
+    Rng master(opt.seed);
+    std::vector<std::unique_ptr<sim::Protocol>> oracle_protocols;
+    for (NodeId v = 0; v < n; ++v) {
+      oracle_protocols.push_back(std::make_unique<CoinPerPollDecay>(
+          n, master.next(),
+          v == source ? std::optional<std::uint32_t>(opt.mu)
+                      : std::nullopt));
+    }
+    sim::EngineOptions oracle_opt;
+    oracle_opt.trace = sim::TraceLevel::kFull;
+    oracle_opt.dispatch = sim::DispatchKind::kScan;
+    oracle_opt.faults = plan;
+    sim::Engine oracle(g, std::move(oracle_protocols), oracle_opt);
+    oracle.run_until([](const sim::Engine& e) { return e.all_informed(); },
+                     600);
+    EXPECT_EQ(oracle.round(), run.rounds) << what;
+    expect_traces_equal(oracle.trace(), run.trace, what + " vs oracle");
   }
 }
 

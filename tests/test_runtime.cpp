@@ -7,12 +7,15 @@
 //  - SweepRunner determinism (byte-identical batch output at 1, 2, and 8
 //    worker threads) and PlanCache hit/miss accounting (labelings computed
 //    exactly once per cache key);
-//  - the activity-contract satellite: multi-message, round-robin,
-//    color-robin, decay, and beep now hint, so the active set polls
-//    strictly less than the scan while staying bit-exact.
+//  - the activity contract: multi-message, round-robin, color-robin,
+//    decay, and beep hint, so the active set polls strictly less than the
+//    scan while staying bit-exact; every scheme the engine benchmark runs
+//    polls about once per transmission; decay's drawn-ahead coin stream
+//    matches golden executions.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -236,6 +239,72 @@ TEST(ActivityContract, NewHintsCutPollsWithoutChangingResults) {
   expect_results_equal(scan, active, "decay");
   expect_trace_equal(scan.trace, active.trace, "decay");
   EXPECT_LT(active.polls, scan.polls) << "decay";
+}
+
+/// One dense and one sparse graph for the poll-budget and golden tests.
+std::pair<Graph, Graph> dense_and_sparse_graphs() {
+  Rng rng(0xB0D6E7);
+  Graph dense = graph::gnp_connected(96, 0.4, rng);
+  Graph sparse = graph::sparse_gnp_connected(600, 8.0, rng);
+  return {std::move(dense), std::move(sparse)};
+}
+
+// Event-exact activity hints: on a fault-free, no-CD active-set run every
+// scheme the engine benchmark exercises polls a node only in rounds where
+// it transmits.  B_arb's actual source spends one extra poll computing its
+// ack countdown the round after "ready" arrives (hence the +1).
+TEST(ActivityContract, PollsTrackTransmissions) {
+  const auto [dense, sparse] = dense_and_sparse_graphs();
+  SchemeOptions opt;
+  opt.seed = 5;
+  opt.payloads = {3, 4};
+  ExecutionConfig cfg;
+  cfg.dispatch = sim::DispatchKind::kActiveSet;
+  for (const Graph* g : {&dense, &sparse}) {
+    for (const char* name : {"b", "ack", "arb", "multi", "common-round",
+                             "decay", "round-robin", "color-robin"}) {
+      const auto run = runtime::run_scheme(name, *g, 1, opt, cfg);
+      const std::string context =
+          std::string(name) + " n=" + std::to_string(g->node_count());
+      EXPECT_TRUE(run.all_informed) << context;
+      EXPECT_GT(run.tx_total, 0u) << context;
+      EXPECT_LE(run.polls, run.tx_total + 1) << context;
+    }
+  }
+}
+
+// Decay draws its coins ahead of the polls; the draw sequence, and with it
+// every execution, is pinned to the one recorded when decay flipped its
+// coin at every poll.
+TEST(ActivityContract, DecayCoinStreamMatchesGolden) {
+  const auto [dense, sparse] = dense_and_sparse_graphs();
+  struct Golden {
+    const Graph* g;
+    graph::NodeId source;
+    std::uint64_t seed;
+    std::uint64_t rounds, tx_total, completion_round;
+  };
+  const Golden goldens[] = {{&sparse, 0, 11, 60, 5393, 60},
+                            {&sparse, 317, 22, 49, 4045, 49},
+                            {&dense, 5, 33, 14, 214, 14}};
+  for (const Golden& want : goldens) {
+    for (const auto dispatch :
+         {sim::DispatchKind::kScan, sim::DispatchKind::kActiveSet}) {
+      SchemeOptions opt;
+      opt.seed = want.seed;
+      ExecutionConfig cfg;
+      cfg.dispatch = dispatch;
+      const auto run = runtime::run_scheme("decay", *want.g, want.source,
+                                           opt, cfg);
+      const std::string context =
+          "seed " + std::to_string(want.seed) + " dispatch " +
+          std::to_string(static_cast<int>(dispatch));
+      EXPECT_TRUE(run.ok) << context;
+      EXPECT_EQ(run.rounds, want.rounds) << context;
+      EXPECT_EQ(run.tx_total, want.tx_total) << context;
+      EXPECT_EQ(run.completion_round, want.completion_round) << context;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

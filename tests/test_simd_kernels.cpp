@@ -6,9 +6,11 @@
 //  - engines constructed under each forced ISA must produce traces identical
 //    to scalar-forced engines on every bit backend, with and without
 //    collision detection;
-//  - every registry scheme must be trace-equal across scan dispatch,
-//    active-set with the post-hear hint, and active-set without it — and the
-//    hint must strictly drop polls on dense instances.
+//  - every scheme that opts into the hint (B, B_ack, common-round, B_arb,
+//    multi, decay, round-robin, color-robin) must be trace-equal across
+//    scan dispatch, active-set with the post-hear hint, and active-set
+//    without it — and the hint must strictly drop polls on dense
+//    instances.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +23,7 @@
 #include "core/labeling.hpp"
 #include "core/protocols.hpp"
 #include "graph/generators.hpp"
+#include "runtime/scheme.hpp"
 #include "sim/backend.hpp"
 #include "sim/engine.hpp"
 #include "sim/simd.hpp"
@@ -327,6 +330,7 @@ struct SchemeCase {
   std::string name;
   std::function<std::vector<std::unique_ptr<sim::Protocol>>()> make;
   std::function<bool(const sim::Engine&)> stop;
+  std::uint64_t budget = 0;  ///< 0 = 20n + 64 rounds
 };
 
 std::vector<SchemeCase> scheme_cases(const Graph& g, NodeId source) {
@@ -359,6 +363,24 @@ std::vector<SchemeCase> scheme_cases(const Graph& g, NodeId source) {
                    },
                    [](const sim::Engine& e) { return e.all_informed(); }});
   }
+  // The remaining opted-in schemes, straight from the registry (multi runs
+  // two back-to-back instances; decay is seeded).
+  runtime::SchemeOptions opt;
+  opt.seed = 0x5EED;
+  opt.payloads = {5, 6};
+  for (const char* name : {"multi", "decay", "round-robin", "color-robin"}) {
+    const runtime::Scheme* scheme =
+        runtime::SchemeRegistry::instance().find(name);
+    const runtime::PlanPtr plan = scheme->label(g, source, opt);
+    out.push_back({name,
+                   [&g, source, scheme, plan, opt] {
+                     return scheme->make_protocols(g, source, *plan, opt);
+                   },
+                   [source, scheme, opt](const sim::Engine& e) {
+                     return scheme->done(e, source, opt);
+                   },
+                   scheme->round_budget(g, *plan, opt)});
+  }
   return out;
 }
 
@@ -384,7 +406,7 @@ TEST(PostHearHint, SchemesTraceEqualAcrossScanAndHintModes) {
     const Graph& g = graphs[gi];
     const NodeId source = static_cast<NodeId>((7 * gi + 1) % g.node_count());
     for (auto& c : scheme_cases(g, source)) {
-      const auto budget = 20ull * g.node_count() + 64;
+      const auto budget = c.budget ? c.budget : 20ull * g.node_count() + 64;
       sim::Engine scan(g, c.make(),
                        hint_opts(sim::DispatchKind::kScan, true));
       sim::Engine hint_on(g, c.make(),
