@@ -122,8 +122,7 @@ Options parse_args(int argc, const char* const* argv) {
     // The execution knobs go through the shared runtime parser, so the
     // bench and the CLI accept the same values with the same errors.
     const auto shared = runtime::parse_execution_flag(
-        arg, need_value(i) ? argv[i + 1] : nullptr, /*allow_compiled=*/false,
-        opt.exec);
+        arg, need_value(i) ? argv[i + 1] : nullptr, opt.exec);
     if (shared.status == runtime::FlagStatus::kOk) {
       ++i;
       continue;

@@ -38,24 +38,10 @@ void run(Context& ctx) {
           const bool in_fixed_window =
               run.ack_round >= run.completion_round + 1 &&
               run.ack_round <= run.completion_round + s.n - 1;
-          // The compiled Theorem 3.9 replay must agree with the engine on
-          // every observable it predicts.
-          runtime::SchemeResult compiled;
-          exec.compiled = true;
-          const auto compiled_ns = time_ns([&] {
-            compiled = runtime::run_scheme("ack", w.graph, w.source, {}, exec);
-          });
-          const bool compiled_agrees =
-              compiled.all_informed == run.all_informed &&
-              compiled.completion_round == run.completion_round &&
-              compiled.ack_round == run.ack_round &&
-              compiled.max_stamp == run.max_stamp;
-          s.ok = in_cor38 && in_fixed_window && compiled_agrees;
+          s.ok = in_cor38 && in_fixed_window;
           s.extra = {{"ack_round", static_cast<double>(run.ack_round)},
                      {"ell", static_cast<double>(run.ell)},
-                     {"max_stamp", static_cast<double>(run.max_stamp)},
-                     {"compiled_wall_ns", static_cast<double>(compiled_ns)},
-                     {"compiled_agrees", compiled_agrees ? 1.0 : 0.0}};
+                     {"max_stamp", static_cast<double>(run.max_stamp)}};
           return s;
         });
     for (auto& s : samples) ctx.record(std::move(s));

@@ -1,12 +1,11 @@
 // Micro-bench P3 — engine backend comparison: the same workloads resolved by
-// the scalar CSR walk, the bit-parallel dense stepper, and the compiled
-// Lemma 2.8 schedule replay.  Two probes:
+// the scalar CSR walk and the bit-parallel dense stepper.  Two probes:
 //  - engine_step/<family>: raw dense round stepping (everyone transmits on a
 //    clique; a rotating 1/8 slice elsewhere), scalar vs bit.  The clique row
 //    carries the headline assertion: at n >= 4096 the bit backend must be at
 //    least 5x faster than scalar.
 //  - broadcast/<family>: full algorithm-B executions, scalar engine vs bit
-//    engine vs compiled replay, cross-checked for identical results.
+//    engine, cross-checked for identical results.
 #include "harness.hpp"
 
 #include <algorithm>
@@ -69,8 +68,7 @@ void broadcast_family(Context& ctx, const std::string& family,
     runtime::SchemeResult run;
     std::uint64_t wall_ns = 0;
   };
-  Variant variants[3] = {
-      {"scalar", {}, 0}, {"bit", {}, 0}, {"compiled", {}, 0}};
+  Variant variants[2] = {{"scalar", {}, 0}, {"bit", {}, 0}};
 
   runtime::ExecutionConfig exec{.backend = sim::BackendKind::kScalar,
                                 .threads = ctx.threads()};
@@ -81,9 +79,6 @@ void broadcast_family(Context& ctx, const std::string& family,
   time_variant(variants[0]);
   exec.backend = sim::BackendKind::kBit;
   time_variant(variants[1]);
-  exec.backend = ctx.backend();
-  exec.compiled = true;
-  time_variant(variants[2]);
 
   const auto& ref = variants[0].run;
   bool agree = ref.all_informed;
@@ -124,7 +119,7 @@ void run(Context& ctx) {
                 /*assert_speedup=*/false);
   }
 
-  // Full algorithm-B executions: scalar vs bit vs compiled replay.
+  // Full algorithm-B executions: scalar vs bit.
   for (const std::uint32_t n : ctx.sizes(4096)) {
     Rng rng(n + 1);
     broadcast_family(ctx, "gnp", graph::gnp_connected(n, 0.3, rng));
@@ -137,7 +132,7 @@ void run(Context& ctx) {
 
 const bool registered = register_scenario(
     {"engine_backends",
-     "scalar vs bit-parallel vs compiled-schedule engine backends",
+     "scalar vs bit-parallel engine backends",
      {"smoke", "micro"},
      &run});
 

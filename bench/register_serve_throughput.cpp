@@ -14,8 +14,8 @@
 //    store answers a compiled clique batch (b/ack/arb, several sources,
 //    n >= 4096), is torn down, and a *fresh* server over the same store
 //    directory answers the identical batch.  The warm restart must be
-//    >= 3x faster, report zero plan/compile constructions, and reproduce
-//    the cold results line for line.
+//    >= 3x faster, report zero labelings and zero recorded-result misses,
+//    and reproduce the cold results line for line.
 #include "harness.hpp"
 
 #include <algorithm>

@@ -5,9 +5,10 @@
 //    the cached labelings but still execute every engine run; recorded,
 //    not gated (the win is labeling-bound and workload-dependent).
 //  - sweep/clique-compiled/{cold,warm}: clique at n >= 4096, schemes
-//    b/ack/arb through the compiled fast path, several sources.  A warm
-//    batch is pure cache lookups — the acceptance row: warm throughput
-//    must be >= 3x cold at n >= 4096.
+//    b/ack/arb as compiled specs, several sources: the cold batch records
+//    each result from one engine run, and a warm batch is pure cache
+//    lookups — the acceptance row: warm throughput must be >= 3x cold at
+//    n >= 4096.
 // Correctness is cross-checked on every row: the warm batch must reproduce
 // the cold batch's formatted results line for line (the byte-determinism
 // oracle lives in tests/test_runtime.cpp).
@@ -94,7 +95,7 @@ void suite_family(Context& ctx, std::uint32_t n) {
               /*gated=*/false);
 }
 
-/// Compiled-path batch on a clique: a warm batch is pure cache lookups.
+/// Compiled specs on a clique: a warm batch is pure recorded-result lookups.
 void clique_compiled_family(Context& ctx, std::uint32_t n) {
   const graph::Graph g = graph::complete(n);
   runtime::SweepRunner runner(ctx.pool());

@@ -60,7 +60,7 @@ int usage() {
                "       radiocast_cli run [--source N] [--scheme NAME] "
                "[--faults ...] [--resilient]\n"
                "                     [--backend "
-               "auto|scalar|bit|sharded|hybrid|compiled]\n"
+               "auto|scalar|bit|sharded|hybrid]\n"
                "                     [--dispatch auto|scan|active] "
                "[--threads N] < edge-list\n"
                "       radiocast_cli {verify|dot} [--source N] "
@@ -72,10 +72,6 @@ int usage() {
                "                     [--threads N] [--store DIR] "
                "[--store-gc-bytes B] [--faults ...]\n"
                "       (run takes every registered scheme: %s;\n"
-               "        --backend compiled replays the label-determined "
-               "schedule where the scheme\n"
-               "        has one (b, ack, arb) and runs the engine "
-               "otherwise;\n"
                "        --dispatch picks the protocol-dispatch strategy "
                "[auto = active-set when hinted];\n"
                "        --threads sets the sharded/sweep worker count, "
@@ -106,8 +102,7 @@ Options parse_options(int argc, char** argv, int first) {
   Options opt;
   for (int i = first; i < argc; ++i) {
     const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    const auto shared = runtime::parse_execution_flag(
-        argv[i], value, /*allow_compiled=*/true, opt.exec);
+    const auto shared = runtime::parse_execution_flag(argv[i], value, opt.exec);
     if (shared.status == runtime::FlagStatus::kOk) {
       ++i;
       continue;
@@ -219,12 +214,6 @@ int cmd_run(const graph::Graph& g, const Options& opt) {
   const auto* scheme = runtime::SchemeRegistry::instance().find(opt.scheme);
   if (scheme == nullptr) return unknown_scheme(opt.scheme);
   const bool faulted = opt.exec.faults.enabled() || opt.resilient;
-  if (faulted && opt.exec.compiled) {
-    std::fprintf(stderr,
-                 "--backend compiled replays the fault-free schedule; "
-                 "--faults/--resilient need the engine\n");
-    return 2;
-  }
   runtime::ExperimentSpec spec;
   spec.scheme = opt.scheme;
   spec.source = opt.source;
@@ -255,7 +244,6 @@ int cmd_verify(const graph::Graph& g, const Options& opt) {
   const auto* scheme = runtime::SchemeRegistry::instance().find("b");
   const auto plan = scheme->label(g, opt.source, {});
   runtime::ExecutionConfig config = opt.exec;
-  config.compiled = false;
   config.trace = sim::TraceLevel::kFull;
   const auto run =
       runtime::run_with_plan(*scheme, g, opt.source, plan, {}, config);
@@ -283,8 +271,7 @@ int cmd_sweep(int argc, char** argv) {
   runtime::ExecutionConfig config;
   for (int i = 2; i < argc; ++i) {
     const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    const auto shared = runtime::parse_execution_flag(
-        argv[i], value, /*allow_compiled=*/true, config);
+    const auto shared = runtime::parse_execution_flag(argv[i], value, config);
     if (shared.status == runtime::FlagStatus::kOk) {
       ++i;
       continue;
@@ -328,11 +315,6 @@ int cmd_sweep(int argc, char** argv) {
   }
   if (suite_name != "standard" && suite_name != "quick") {
     std::fprintf(stderr, "--suite must be standard or quick\n");
-    return 2;
-  }
-  if (config.compiled && config.faults.enabled()) {
-    std::fprintf(stderr, "--backend compiled replays the fault-free "
-                         "schedule; drop it to sweep with --faults\n");
     return 2;
   }
 
@@ -438,10 +420,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (opt.exec.compiled && cmd != "run") {
-    std::fprintf(stderr, "--backend compiled only applies to 'run'\n");
-    return 2;
-  }
   if ((opt.exec.faults.enabled() || opt.resilient) && cmd != "run") {
     std::fprintf(stderr, "--faults/--resilient only apply to 'run' (and "
                          "'sweep', which parses its own flags)\n");

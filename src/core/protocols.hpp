@@ -262,9 +262,8 @@ class CommonRoundProtocol final : public sim::Protocol {
   std::uint64_t m_value_ = 0;  // source: round of first ack; others: payload
 };
 
-/// The default engine round budget of the label-determined schemes and
-/// their compiled fast paths (linear in n with slack; `factor` is
-/// per-algorithm).
+/// The default engine round budget of the label-determined schemes (linear
+/// in n with slack; `factor` is per-algorithm).
 inline std::uint64_t default_round_budget(std::uint32_t n,
                                           std::uint64_t factor) {
   return factor * std::max<std::uint64_t>(n, 2) + 16;

@@ -1,6 +1,7 @@
 #include "core/verifier.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 namespace radiocast::core {
@@ -103,6 +104,86 @@ std::string verify_lemma_2_8(const Graph& g, const Labeling& labeling,
 
     if (t > last_activity && (!data_tx.empty() || !stay_tx.empty())) {
       return "µ/stay transmission after round 2ℓ-3 (Observation 3.3)";
+    }
+  }
+  return {};
+}
+
+std::string verify_ack_completion(const Graph& g, NodeId source,
+                                  const sim::Trace& trace) {
+  const auto n = g.node_count();
+  if (n == 1) return {};
+  std::vector<std::uint64_t> first_data(n, 0);
+  std::uint64_t ack_round = 0;
+  const auto& rounds = trace.rounds();
+  for (std::size_t t0 = 0; t0 < rounds.size() && ack_round == 0; ++t0) {
+    for (const auto& [v, msg] : rounds[t0].deliveries) {
+      if (msg.kind == sim::MsgKind::kData && first_data[v] == 0) {
+        first_data[v] = t0 + 1;
+      } else if (msg.kind == sim::MsgKind::kAck && v == source) {
+        ack_round = t0 + 1;
+      }
+    }
+  }
+  std::ostringstream os;
+  if (ack_round == 0) {
+    os << "source " << source << " never receives an ack";
+    return os.str();
+  }
+  std::uint64_t last = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (v == source) continue;
+    if (first_data[v] == 0 || first_data[v] >= ack_round) {
+      os << "node " << v << " first receives mu in round " << first_data[v]
+         << " (0 = never), not before the source's ack in round "
+         << ack_round;
+      return os.str();
+    }
+    last = std::max(last, first_data[v]);
+  }
+  if (last > 2ull * n - 3) {
+    os << "last first reception of mu in round " << last << " > 2n-3 = "
+       << 2ull * n - 3;
+    return os.str();
+  }
+  return {};
+}
+
+std::string verify_arb_delivery(const Graph& g, NodeId source,
+                                const sim::Trace& trace) {
+  const auto carries_mu = [](const sim::Message& m) {
+    return (m.kind == sim::MsgKind::kData && m.phase == 3) ||
+           (m.kind == sim::MsgKind::kAck && m.phase == 2);
+  };
+  const auto n = g.node_count();
+  std::vector<std::uint64_t> first_mu(n, 0);
+  std::optional<std::uint32_t> mu;
+  std::ostringstream os;
+  const auto& rounds = trace.rounds();
+  for (std::size_t t0 = 0; t0 < rounds.size(); ++t0) {
+    const std::uint64_t t = t0 + 1;
+    for (const auto& [v, msg] : rounds[t0].transmissions) {
+      if (!carries_mu(msg)) continue;
+      if (!mu) mu = msg.payload;
+      if (msg.payload != *mu) {
+        os << "node " << v << " transmits payload " << msg.payload
+           << " in round " << t << ", not mu = " << *mu;
+        return os.str();
+      }
+      if (v != source && first_mu[v] == 0) {
+        os << "node " << v << " transmits mu in round " << t
+           << " before receiving it";
+        return os.str();
+      }
+    }
+    for (const auto& [v, msg] : rounds[t0].deliveries) {
+      if (carries_mu(msg) && first_mu[v] == 0) first_mu[v] = t;
+    }
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    if (v != source && first_mu[v] == 0) {
+      os << "node " << v << " never receives mu";
+      return os.str();
     }
   }
   return {};

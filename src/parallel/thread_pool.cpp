@@ -41,16 +41,6 @@ void ThreadPool::submit(std::function<void()> task) {
   work_available_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  all_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-  if (first_error_) {
-    auto err = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
 void ThreadPool::worker_loop() {
   t_pool = this;
   for (;;) {
@@ -62,19 +52,8 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stopping_ and drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
-    try {
-      task();
-    } catch (...) {
-      std::scoped_lock lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::scoped_lock lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) all_idle_.notify_all();
-    }
+    task();
   }
 }
 

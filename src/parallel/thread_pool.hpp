@@ -19,8 +19,10 @@
 
 namespace radiocast::par {
 
-/// Fixed-size pool executing `std::function<void()>` tasks FIFO.
-/// Exceptions escaping a task are rethrown from `wait_idle()`.
+/// Fixed-size pool executing `std::function<void()>` tasks FIFO.  The pool
+/// has no completion API of its own: fan work out through `parallel_for` /
+/// `parallel_map`, which wait per call and rethrow a task's exception to
+/// that call.  A raw task must not throw.
 class ThreadPool {
  public:
   /// \param threads number of workers; 0 means `hardware_concurrency()`.
@@ -32,10 +34,6 @@ class ThreadPool {
 
   /// Enqueues a task for execution.
   void submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and all workers are idle.  If any task
-  /// threw, rethrows the first captured exception.
-  void wait_idle();
 
   std::size_t thread_count() const noexcept { return workers_.size(); }
 
@@ -49,10 +47,7 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable work_available_;
-  std::condition_variable all_idle_;
-  std::size_t active_ = 0;
   bool stopping_ = false;
-  std::exception_ptr first_error_;
 };
 
 }  // namespace radiocast::par

@@ -18,7 +18,7 @@ namespace radiocast::runtime {
 
 /// How a scheme execution runs: which engine backend resolves rounds, how
 /// protocol decisions are dispatched, how many workers the sharded paths
-/// may use, and whether the label-determined compiled fast path is taken.
+/// may use, and whether a sweep may answer with a recorded result.
 struct ExecutionConfig {
   /// Engine round-resolution backend (kAuto picks by density and size).
   sim::BackendKind backend = sim::BackendKind::kAuto;
@@ -27,14 +27,16 @@ struct ExecutionConfig {
   /// Worker threads for the sharded backend and the sharded decision sweep
   /// (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Prefer the compiled label-determined replay when the scheme has one
-  /// (`Scheme::can_compile`); schemes without one fall back to the engine.
+  /// Opt into a recorded result: the sweep runs the engine once per
+  /// `recorded_result_key` and answers repeats from the PlanCache or the
+  /// PlanStore (`polls` reads 0 in such an answer).  Schemes that cannot
+  /// compile, faulted specs and full-trace specs always take the engine.
+  /// The wire field `"compiled"` carries it.
   bool compiled = false;
   /// Collision-detection mode.  Schemes that require it (beep) force it on
   /// regardless of this setting.
   bool collision_detection = false;
-  /// Ground-truth recording level for the engine path; `kFull` also makes
-  /// compiled replays materialize their trace.
+  /// Ground-truth recording level; `kFull` always takes the engine.
   sim::TraceLevel trace = sim::TraceLevel::kCounters;
   /// Engine round budget (0 = the scheme's own default, linear in n).
   std::uint64_t max_rounds = 0;
@@ -44,8 +46,7 @@ struct ExecutionConfig {
   /// attached, evicted entries reload from disk instead of recomputing.
   std::size_t plan_cache_bytes = 0;
   /// Deterministic fault injection (sim/faults.hpp).  An enabled plan
-  /// forces the engine path: compiled replays model the fault-free
-  /// schedule and cannot answer "what does the protocol do after a loss".
+  /// always takes the engine: recorded results are keyed without faults.
   sim::FaultPlan faults = {};
 
   /// Lowers the config to engine options (collision detection as-is; the

@@ -14,31 +14,24 @@ FlagOutcome error(std::string message) {
 
 }  // namespace
 
-std::string backend_flag_values(bool allow_compiled) {
-  return allow_compiled ? "auto, scalar, bit, sharded, hybrid, or compiled"
-                        : "auto, scalar, bit, sharded, or hybrid";
+std::string backend_flag_values() {
+  return "auto, scalar, bit, sharded, or hybrid";
 }
 
 std::string dispatch_flag_values() { return "auto, scan, or active"; }
 
 FlagOutcome parse_execution_flag(std::string_view flag, const char* value,
-                                 bool allow_compiled,
                                  ExecutionConfig& config) {
   if (flag == "--backend") {
     if (value == nullptr) {
-      return error("--backend requires " + backend_flag_values(allow_compiled));
-    }
-    if (allow_compiled && std::string_view(value) == "compiled") {
-      config.compiled = true;
-      return ok();
+      return error("--backend requires " + backend_flag_values());
     }
     const auto parsed = sim::parse_backend(value);
     if (!parsed) {
       return error(std::string("unknown backend '") + value + "' (expected " +
-                   backend_flag_values(allow_compiled) + ")");
+                   backend_flag_values() + ")");
     }
     config.backend = *parsed;
-    config.compiled = false;  // last --backend wins, like the string parser
     return ok();
   }
   if (flag == "--dispatch") {

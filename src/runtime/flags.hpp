@@ -3,11 +3,8 @@
 ///
 /// `radiocast_cli` and `radiocast_bench` expose the same
 /// `--backend/--dispatch/--threads/--faults` flags; this helper parses them
-/// straight
-/// into a `runtime::ExecutionConfig` so both front ends accept the same
-/// values and print the same error messages.  "--backend compiled" is the
-/// CLI spelling for the label-determined replay fast path and is accepted
-/// only when the front end opts in (`allow_compiled`).
+/// straight into a `runtime::ExecutionConfig` so both front ends accept the
+/// same values and print the same error messages.
 #pragma once
 
 #include <string>
@@ -33,11 +30,11 @@ struct FlagOutcome {
 /// nullptr at argv's end) to the shared parser.  On kOk exactly one value
 /// token was consumed — the caller advances its index by one.
 FlagOutcome parse_execution_flag(std::string_view flag, const char* value,
-                                 bool allow_compiled, ExecutionConfig& config);
+                                 ExecutionConfig& config);
 
 /// The accepted `--backend` values, for usage strings:
-/// "auto, scalar, bit, sharded, or hybrid" (plus compiled when allowed).
-std::string backend_flag_values(bool allow_compiled);
+/// "auto, scalar, bit, sharded, or hybrid".
+std::string backend_flag_values();
 
 /// The accepted `--dispatch` values, for usage strings.
 std::string dispatch_flag_values();

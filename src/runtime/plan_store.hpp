@@ -1,16 +1,16 @@
 /// \file plan_store.hpp
-/// \brief On-disk persistence for labeling plans and compiled executions.
+/// \brief On-disk persistence for labeling plans and recorded results.
 ///
 /// The paper's premise is label-once, broadcast-forever — but PR 5's
 /// `PlanCache` only amortized a labeling within one process lifetime.  The
 /// plan store durably keys serialized `Plan`/`CompiledPlan` payloads by
-/// their full cache key (graph content hash, plan family or scheme, plan
-/// key), so a restarted `radiocast_serve` — or any other process pointed at
-/// the same directory — serves warm executions immediately.
+/// their full cache key (a plan key, or a `recorded_result_key`), so a
+/// restarted `radiocast_serve` — or any other process pointed at the same
+/// directory — serves warm executions immediately.
 ///
 /// Layout: one record file per entry under the store directory,
 ///   <fnv1a(key) as 16 hex digits>.plan    labeling plans
-///   <fnv1a(key) as 16 hex digits>.cplan   compiled executions
+///   <fnv1a(key) as 16 hex digits>.cplan   recorded results (SchemeResult)
 /// Record format (little-endian, via support/bytes.hpp):
 ///   magic "RCPS" | u32 format version (= kFormatVersion)
 ///   | str key | str family | str payload | u64 fnv1a(payload)
@@ -51,7 +51,9 @@ class PlanStore {
  public:
   /// 2: compiled B_arb results carry completion_round and max_stamp
   /// (version-1 records hold zeros there).
-  static constexpr std::uint32_t kFormatVersion = 2;
+  /// 3: `.cplan` records hold one recorded SchemeResult instead of a plan
+  /// plus a flat predicted execution, under `recorded_result_key`.
+  static constexpr std::uint32_t kFormatVersion = 3;
 
   /// Opens (creating if needed) the store directory.  An unusable path
   /// violates a precondition.  Temp files left behind by a writer that

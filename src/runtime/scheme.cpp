@@ -2,9 +2,50 @@
 
 #include <algorithm>
 
+#include "runtime/wire.hpp"
 #include "support/contracts.hpp"
 
 namespace radiocast::runtime {
+
+namespace {
+
+/// True iff a spec is answered by a recorded result (see
+/// `recorded_result_key`).
+bool takes_recorded_result(const Scheme& scheme,
+                           const ExecutionConfig& config) {
+  return config.compiled && scheme.can_compile() &&
+         !config.faults.enabled() && config.trace != sim::TraceLevel::kFull;
+}
+
+/// The engine half of `run_with_plan`.
+SchemeResult execute(const Scheme& scheme, const Graph& g, NodeId source,
+                     const Plan& plan, const SchemeOptions& opt,
+                     const ExecutionConfig& config) {
+  SchemeResult out;
+  if (scheme.run_trivial(g, source, plan, opt, out)) return out;
+  sim::EngineOptions engine_opt = config.engine_options();
+  engine_opt.collision_detection =
+      config.collision_detection || scheme.needs_collision_detection();
+  sim::Engine engine(g, scheme.make_protocols(g, source, plan, opt),
+                     engine_opt);
+  const std::uint64_t budget = config.max_rounds
+                                   ? config.max_rounds
+                                   : scheme.round_budget(g, plan, opt);
+  engine.run_until(
+      [&](const sim::Engine& e) { return scheme.done(e, source, opt); },
+      budget);
+  out.rounds = engine.round();
+  out.tx_total = engine.transmissions_total();
+  out.polls = engine.polls_total();
+  out.all_informed = engine.all_informed();
+  scheme.collect(engine, g, source, plan, opt, config, out);
+  // Moved, not copied: collect() has already read any trace-derived
+  // counters, and the engine dies with this frame.
+  if (config.trace == sim::TraceLevel::kFull) out.trace = engine.take_trace();
+  return out;
+}
+
+}  // namespace
 
 std::string Scheme::plan_key(NodeId source, const SchemeOptions& opt) const {
   std::string key = "src";
@@ -22,13 +63,19 @@ void Scheme::encode_plan(const Plan&, support::ByteWriter&) const {
 
 PlanPtr Scheme::decode_plan(support::ByteReader&) const { return nullptr; }
 
-void Scheme::encode_compiled(const CompiledPlan&,
-                             support::ByteWriter&) const {
-  RC_ASSERT_MSG(false, "scheme does not persist compiled plans");
+void Scheme::encode_compiled(const CompiledPlan& compiled,
+                             support::ByteWriter& out) const {
+  out.str(wire::encode_result(compiled.result));
 }
 
-CompiledPlanPtr Scheme::decode_compiled(support::ByteReader&) const {
-  return nullptr;
+CompiledPlanPtr Scheme::decode_compiled(support::ByteReader& in) const {
+  const std::string text = in.str();
+  if (!in.ok() || in.remaining() != 0) return nullptr;
+  auto decoded = wire::decode_result(text);
+  if (!decoded.ok) return nullptr;
+  auto out = std::make_shared<CompiledPlan>();
+  out->result = std::move(decoded.value);
+  return out;
 }
 
 bool Scheme::done(const sim::Engine& engine, NodeId,
@@ -41,16 +88,22 @@ bool Scheme::run_trivial(const Graph&, NodeId, const Plan&,
   return false;
 }
 
-CompiledPlanPtr Scheme::compile(const Graph&, NodeId, const PlanPtr&,
-                                const SchemeOptions&,
-                                const ExecutionConfig&) const {
-  return nullptr;
+CompiledPlanPtr Scheme::compile(const Graph& g, NodeId source,
+                                const PlanPtr& plan, const SchemeOptions& opt,
+                                const ExecutionConfig& config) const {
+  RC_EXPECTS(plan != nullptr);
+  RC_EXPECTS(source < g.node_count());
+  ExecutionConfig counters = config;
+  counters.trace = sim::TraceLevel::kCounters;
+  auto out = std::make_shared<CompiledPlan>();
+  out->result = execute(*this, g, source, *plan, opt, counters);
+  out->result.polls = 0;
+  return out;
 }
 
-SchemeResult Scheme::replay(const Graph&, NodeId, const CompiledPlan&,
+SchemeResult Scheme::replay(const Graph&, NodeId, const CompiledPlan& compiled,
                             const ExecutionConfig&) const {
-  RC_ASSERT_MSG(false, "scheme has no compiled path");
-  return {};
+  return compiled.result;
 }
 
 std::string Scheme::verify(const Graph&, NodeId, const Plan&,
@@ -104,37 +157,28 @@ SchemeResult run_with_plan(const Scheme& scheme, const Graph& g,
                            const ExecutionConfig& config) {
   RC_EXPECTS(plan != nullptr);
   RC_EXPECTS(source < g.node_count());
-  SchemeResult out;
-  if (scheme.run_trivial(g, source, *plan, opt, out)) return out;
-
-  // A compiled replay models the fault-free schedule, so an enabled fault
-  // plan forces the live engine (as does a scheme declining to compile
-  // these options — compile() returning null falls through).
-  if (config.compiled && scheme.can_compile() && !config.faults.enabled()) {
-    const auto compiled = scheme.compile(g, source, plan, opt, config);
-    if (compiled) return scheme.replay(g, source, *compiled, config);
-  }
-
-  sim::EngineOptions engine_opt = config.engine_options();
-  engine_opt.collision_detection =
-      config.collision_detection || scheme.needs_collision_detection();
-  sim::Engine engine(g, scheme.make_protocols(g, source, *plan, opt),
-                     engine_opt);
-  const std::uint64_t budget = config.max_rounds
-                                   ? config.max_rounds
-                                   : scheme.round_budget(g, *plan, opt);
-  engine.run_until(
-      [&](const sim::Engine& e) { return scheme.done(e, source, opt); },
-      budget);
-  out.rounds = engine.round();
-  out.tx_total = engine.transmissions_total();
-  out.polls = engine.polls_total();
-  out.all_informed = engine.all_informed();
-  scheme.collect(engine, g, source, *plan, opt, config, out);
-  // Moved, not copied: collect() has already read any trace-derived
-  // counters, and the engine dies with this frame.
-  if (config.trace == sim::TraceLevel::kFull) out.trace = engine.take_trace();
+  SchemeResult out = execute(scheme, g, source, *plan, opt, config);
+  if (takes_recorded_result(scheme, config)) out.polls = 0;
   return out;
+}
+
+std::optional<std::string> recorded_result_key(const Scheme& scheme,
+                                               std::string_view plan_key,
+                                               NodeId source,
+                                               const SchemeOptions& opt,
+                                               const ExecutionConfig& config) {
+  if (!takes_recorded_result(scheme, config)) return std::nullopt;
+  std::string key(plan_key);
+  key += "|";
+  key += scheme.name();
+  key += "|src";
+  key += std::to_string(source);
+  key += "|opt";
+  key += wire::to_json(opt).dump();
+  key += "|cap";
+  key += std::to_string(config.max_rounds);
+  key += config.collision_detection ? "|cd" : "|nocd";
+  return key;
 }
 
 SchemeResult run_scheme(const Scheme& scheme, const Graph& g, NodeId source,

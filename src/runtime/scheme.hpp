@@ -10,21 +10,27 @@
 ///
 ///   label(g, source)      the centralized half; an opaque, shareable Plan
 ///   make_protocols(...)   the distributed half; one sim::Protocol per node
-///   compile(...)          optional: the label-determined execution lowered
-///                         to flat arrays (Lemma 2.8 and friends)
 ///   verify(trace)         optional: check a recorded execution against the
-///                         paper's per-round characterization
+///                         paper's guarantees (Lemma 2.8 for B, Theorem 3.9
+///                         for B_ack, §4 for B_arb)
 ///
 /// `run_scheme` executes any registered scheme through one polymorphic
 /// path — engine construction, round budget, stop predicate, observable
 /// extraction — so a new scenario is a registry entry, not a new plumbing
 /// stack.  It is the one way to run a scheme: tests, the bench harness, the
 /// examples and both front ends all call it.
+///
+/// A spec that opts into `ExecutionConfig::compiled` is answered by a
+/// recorded result: `compile` runs that same engine path once and keeps
+/// its `SchemeResult`, which the sweep caches and stores under
+/// `recorded_result_key` and `replay` hands back.  There is no second
+/// execution model to keep in step with the engine.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,8 +62,8 @@ struct SchemeOptions {
   std::uint64_t max_stages = 0;     ///< one-bit stall cap (0 = 4n + 8)
   /// B_ack's loss-tolerant retry mode (AckBroadcastProtocol): informed
   /// nodes keep retransmitting on a slotted schedule so the broadcast
-  /// survives lossy links.  Engine-only — a resilient scheme never takes
-  /// the compiled fast path.
+  /// survives lossy links.  Part of the recorded-result key, so a resilient
+  /// spec never shares a record with a plain one.
   bool resilient = false;
 };
 
@@ -74,16 +80,6 @@ struct Plan {
   virtual std::size_t footprint() const noexcept { return 64; }
 };
 using PlanPtr = std::shared_ptr<const Plan>;
-
-/// A label-determined execution lowered to data (plus its precomputed
-/// observables), cacheable per (graph, scheme, source).
-struct CompiledPlan {
-  virtual ~CompiledPlan() = default;
-
-  /// Approximate resident bytes (see Plan::footprint).
-  virtual std::size_t footprint() const noexcept { return 64; }
-};
-using CompiledPlanPtr = std::shared_ptr<const CompiledPlan>;
 
 /// The union of observables the schemes report.  `ok` is the scheme's own
 /// success verdict; each scheme fills the remaining fields its algorithm
@@ -115,6 +111,21 @@ struct SchemeResult {
   sim::Trace trace;  ///< engine path at TraceLevel::kFull only
 };
 
+/// A recorded result: the engine's counters-level `SchemeResult` for one
+/// `recorded_result_key`, with `polls` cleared (a dispatch cost, which the
+/// key leaves out).  Shared read-only by the PlanCache; persisted as a
+/// PlanStore `kCompiled` record.
+struct CompiledPlan {
+  SchemeResult result;
+
+  /// Approximate resident bytes (see Plan::footprint).
+  std::size_t footprint() const noexcept {
+    return sizeof(*this) +
+           result.ack_rounds.capacity() * sizeof(std::uint64_t);
+  }
+};
+using CompiledPlanPtr = std::shared_ptr<const CompiledPlan>;
+
 /// One broadcast scheme behind the uniform runtime interface.  Stateless:
 /// all per-execution state lives in the engine/protocols, all per-network
 /// state in the Plan, so one registered instance serves concurrent sweeps.
@@ -129,7 +140,8 @@ class Scheme {
   /// `run_scheme` forces the engine signal on for such schemes.
   virtual bool needs_collision_detection() const noexcept { return false; }
 
-  /// True iff `compile` lowers the execution to a replayable CompiledPlan.
+  /// True iff specs that opt into `ExecutionConfig::compiled` are answered
+  /// by a recorded result (see `recorded_result_key`).
   virtual bool can_compile() const noexcept { return false; }
 
   /// The labeling identity this scheme's plans belong to.  Schemes whose
@@ -147,7 +159,7 @@ class Scheme {
   virtual std::string plan_key(NodeId source, const SchemeOptions& opt) const;
 
   /// True iff the scheme implements the plan codec below, making its plans
-  /// (and compiled plans, when `can_compile`) persistable in a PlanStore.
+  /// persistable in a PlanStore.  (Recorded results always are.)
   virtual bool can_store_plans() const noexcept { return false; }
 
   /// Serializes a plan into the store's byte format.  Only called when
@@ -160,12 +172,13 @@ class Scheme {
   /// never throws on untrusted input.
   virtual PlanPtr decode_plan(support::ByteReader& in) const;
 
-  /// Serializes a compiled plan (can_compile + can_store_plans only).
-  virtual void encode_compiled(const CompiledPlan& compiled,
-                               support::ByteWriter& out) const;
+  /// Serializes a recorded result into the store's byte format: its
+  /// canonical wire JSON (runtime/wire.hpp), length-prefixed.
+  void encode_compiled(const CompiledPlan& compiled,
+                       support::ByteWriter& out) const;
 
   /// Decodes `encode_compiled` output; nullptr on malformed bytes.
-  virtual CompiledPlanPtr decode_compiled(support::ByteReader& in) const;
+  CompiledPlanPtr decode_compiled(support::ByteReader& in) const;
 
   /// The centralized half: computes the scheme's label assignment / plan.
   virtual PlanPtr label(const Graph& g, NodeId source,
@@ -200,21 +213,22 @@ class Scheme {
   virtual bool run_trivial(const Graph& g, NodeId source, const Plan& plan,
                            const SchemeOptions& opt, SchemeResult& out) const;
 
-  /// Lowers the label-determined execution (can_compile() schemes only).
-  /// Takes the plan by shared pointer so the compiled plan can retain it.
-  virtual CompiledPlanPtr compile(const Graph& g, NodeId source,
-                                  const PlanPtr& plan,
-                                  const SchemeOptions& opt,
-                                  const ExecutionConfig& config) const;
+  /// Records a result: runs the engine exactly as `run_with_plan` does, at
+  /// counters level, and keeps the `SchemeResult` with `polls` cleared.
+  /// The caller files it under `recorded_result_key`.
+  CompiledPlanPtr compile(const Graph& g, NodeId source, const PlanPtr& plan,
+                          const SchemeOptions& opt,
+                          const ExecutionConfig& config) const;
 
-  /// Result of a compiled plan: the precomputed observables, plus a real
-  /// replay (for the trace) when `config.trace` is kFull.
-  virtual SchemeResult replay(const Graph& g, NodeId source,
-                              const CompiledPlan& compiled,
-                              const ExecutionConfig& config) const;
+  /// A copy of the recorded result.  It carries no trace: kFull specs take
+  /// the engine (see `recorded_result_key`).
+  SchemeResult replay(const Graph& g, NodeId source,
+                      const CompiledPlan& compiled,
+                      const ExecutionConfig& config) const;
 
-  /// Checks a full-trace execution against the scheme's per-round
-  /// characterization (empty string = OK or no verifier).
+  /// Checks a full-trace execution against the paper's guarantee for the
+  /// scheme (empty string = OK or no verifier).  O(trace) except B's
+  /// Lemma 2.8 check, which also predicts the schedule.
   virtual std::string verify(const Graph& g, NodeId source, const Plan& plan,
                              const sim::Trace& trace) const;
 };
@@ -242,7 +256,7 @@ class SchemeRegistry {
   std::vector<std::unique_ptr<Scheme>> schemes_;
 };
 
-/// Uniform execution: label, then run (engine or compiled fast path).
+/// Uniform execution: label, then run on the engine.
 /// Requires `source < g.node_count()`, checked before labeling.
 SchemeResult run_scheme(const Scheme& scheme, const Graph& g, NodeId source,
                         const SchemeOptions& opt = {},
@@ -253,11 +267,28 @@ SchemeResult run_scheme(std::string_view name, const Graph& g, NodeId source,
                         const SchemeOptions& opt = {},
                         const ExecutionConfig& config = {});
 
-/// Executes with an already-computed (possibly cached) plan.
+/// Executes with an already-computed (possibly cached) plan.  A spec that
+/// `recorded_result_key` sends to a recorded result reports `polls` 0 here
+/// too, so a one-off run and a served answer agree field for field.
 SchemeResult run_with_plan(const Scheme& scheme, const Graph& g,
                            NodeId source, const PlanPtr& plan,
                            const SchemeOptions& opt,
                            const ExecutionConfig& config);
+
+/// The one decision whether a spec is answered by a recorded result, and
+/// the key it is recorded under.  Returns nullopt when the spec takes the
+/// engine: it did not opt in (`config.compiled`), the scheme cannot
+/// compile, a fault plan is enabled, or it asks for a full trace.
+/// Otherwise the key is `plan_key` (the spec's PlanCache key, which names
+/// the graph), the scheme, the source, the canonical wire encoding of
+/// `opt`, `config.max_rounds` and collision detection.  Backend, dispatch,
+/// ISA and threads stay out: the differential suites pin that they never
+/// change a result.
+std::optional<std::string> recorded_result_key(const Scheme& scheme,
+                                               std::string_view plan_key,
+                                               NodeId source,
+                                               const SchemeOptions& opt,
+                                               const ExecutionConfig& config);
 
 namespace detail {
 /// Defined in schemes.cpp; called once from SchemeRegistry::instance().

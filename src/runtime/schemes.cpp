@@ -10,7 +10,6 @@
 #include "baselines/baselines.hpp"
 #include "baselines/beep.hpp"
 #include "core/arb.hpp"
-#include "core/compiled_schedule.hpp"
 #include "core/multi.hpp"
 #include "core/protocols.hpp"
 #include "core/verifier.hpp"
@@ -55,8 +54,6 @@ constexpr std::uint8_t kTagArb = 0x41;       // 'A': ArbPlan
 constexpr std::uint8_t kTagOneBit = 0x4F;    // 'O': OneBitPlan
 constexpr std::uint8_t kTagColoring = 0x43;  // 'C': ColoringPlan
 constexpr std::uint8_t kTagEmpty = 0x45;     // 'E': EmptyPlan
-constexpr std::uint8_t kTagBReplay = 0x42;   // 'B': BCompiledPlan
-constexpr std::uint8_t kTagExec = 0x58;      // 'X': ExecCompiledPlan
 
 void encode_labels(const std::vector<core::Label>& labels, ByteWriter& out) {
   out.u64(labels.size());
@@ -141,112 +138,6 @@ std::size_t labeling_bytes(const core::Labeling& l) {
          l.stages.stage_of.size() * sizeof(std::uint32_t);
 }
 
-/// SchemeResult binary codec (counters only; the trace never persists).
-/// Field order matches the struct declaration.
-void encode_result(const SchemeResult& r, ByteWriter& out) {
-  out.boolean(r.ok);
-  out.boolean(r.all_informed);
-  out.boolean(r.labeling_found);
-  out.u64(r.rounds);
-  out.u64(r.completion_round);
-  out.u64(r.ack_round);
-  out.u64(r.bound);
-  out.u32(r.ell);
-  out.u32(r.special);
-  out.u64(r.max_stamp);
-  out.u64(r.done_round);
-  out.u64(r.T);
-  out.u64(r.last_learned);
-  out.u64(r.stay_count);
-  out.u64(r.data_tx_count);
-  out.u64(r.max_node_tx);
-  out.u64(r.tx_total);
-  out.u64(r.polls);
-  out.u32(r.attempts);
-  out.u32(r.ones);
-  out.u32(r.label_bits);
-  out.vec_u64(r.ack_rounds);
-  out.u64(r.rounds_per_message);
-}
-
-bool decode_result(ByteReader& in, SchemeResult& r) {
-  r.ok = in.boolean();
-  r.all_informed = in.boolean();
-  r.labeling_found = in.boolean();
-  r.rounds = in.u64();
-  r.completion_round = in.u64();
-  r.ack_round = in.u64();
-  r.bound = in.u64();
-  r.ell = in.u32();
-  r.special = in.u32();
-  r.max_stamp = in.u64();
-  r.done_round = in.u64();
-  r.T = in.u64();
-  r.last_learned = in.u64();
-  r.stay_count = in.u64();
-  r.data_tx_count = in.u64();
-  r.max_node_tx = in.u64();
-  r.tx_total = in.u64();
-  r.polls = in.u64();
-  r.attempts = in.u32();
-  r.ones = in.u32();
-  r.label_bits = in.u32();
-  r.ack_rounds = in.vec_u64();
-  r.rounds_per_message = in.u64();
-  return in.ok();
-}
-
-void encode_execution(const core::CompiledExecution& e, ByteWriter& out) {
-  out.u64(e.rounds);
-  out.vec_u32(e.offsets);
-  out.vec_u32(e.transmitters);
-  out.u64(e.messages.size());
-  for (const sim::Message& m : e.messages) {
-    out.u8(static_cast<std::uint8_t>(m.kind));
-    out.u8(m.phase);
-    out.u32(m.payload);
-    out.boolean(m.stamp.has_value());
-    if (m.stamp) out.u64(*m.stamp);
-  }
-}
-
-bool decode_execution(ByteReader& in, core::CompiledExecution& e) {
-  e.rounds = in.u64();
-  e.offsets = in.vec_u32();
-  e.transmitters = in.vec_u32();
-  const std::uint64_t count = in.u64();
-  if (!in.ok() || count > in.remaining()) return false;
-  e.messages.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    sim::Message m;
-    const std::uint8_t kind = in.u8();
-    if (kind > static_cast<std::uint8_t>(sim::MsgKind::kReady)) return false;
-    m.kind = static_cast<sim::MsgKind>(kind);
-    m.phase = in.u8();
-    m.payload = in.u32();
-    if (in.boolean()) m.stamp = in.u64();
-    e.messages.push_back(m);
-  }
-  // Shape invariants the replay path indexes by: offsets bracket every
-  // round, and the flat arrays are parallel.
-  if (!in.ok() || e.offsets.size() != e.rounds + 1) return false;
-  if (e.messages.size() != e.transmitters.size()) return false;
-  if (!e.offsets.empty() &&
-      (e.offsets.front() != 0 || e.offsets.back() != e.transmitters.size())) {
-    return false;
-  }
-  for (std::size_t i = 1; i < e.offsets.size(); ++i) {
-    if (e.offsets[i - 1] > e.offsets[i]) return false;
-  }
-  return true;
-}
-
-std::size_t execution_bytes(const core::CompiledExecution& e) {
-  return e.offsets.size() * sizeof(std::uint32_t) +
-         e.transmitters.size() * sizeof(NodeId) +
-         e.messages.size() * sizeof(sim::Message);
-}
-
 // ---------------------------------------------------------------------------
 // λ schemes: B, B_ack, common-round (one λ/λ_ack labeling as the plan)
 // ---------------------------------------------------------------------------
@@ -288,9 +179,6 @@ class BScheme final : public Scheme {
   PlanPtr decode_plan(ByteReader& in) const override {
     return decode_labeling_plan(in);
   }
-  void encode_compiled(const CompiledPlan& compiled,
-                       ByteWriter& out) const override;
-  CompiledPlanPtr decode_compiled(ByteReader& in) const override;
 
   PlanPtr label(const Graph& g, NodeId source,
                 const SchemeOptions& opt) const override {
@@ -321,7 +209,7 @@ class BScheme final : public Scheme {
   }
 
   void collect(const sim::Engine& e, const Graph& g, NodeId, const Plan& plan,
-               const SchemeOptions&, const ExecutionConfig& config,
+               const SchemeOptions&, const ExecutionConfig&,
                SchemeResult& out) const override {
     out.ok = out.all_informed;
     out.completion_round = e.last_first_data_reception();
@@ -329,18 +217,9 @@ class BScheme final : public Scheme {
     out.ell = static_cast<const LabelingPlan&>(plan).labeling.stages.ell;
     out.max_node_tx = e.max_tx_count();
     out.label_bits = 2;
-    if (config.trace == sim::TraceLevel::kFull) {
-      out.stay_count = e.trace().count_transmissions(sim::MsgKind::kStay);
-      out.data_tx_count = e.trace().count_transmissions(sim::MsgKind::kData);
-    }
+    out.stay_count = e.transmissions_of(sim::MsgKind::kStay);
+    out.data_tx_count = e.transmissions_of(sim::MsgKind::kData);
   }
-
-  CompiledPlanPtr compile(const Graph& g, NodeId, const PlanPtr& plan,
-                          const SchemeOptions& opt,
-                          const ExecutionConfig& config) const override;
-  SchemeResult replay(const Graph& g, NodeId source,
-                      const CompiledPlan& compiled,
-                      const ExecutionConfig& config) const override;
 
   std::string verify(const Graph& g, NodeId, const Plan& plan,
                      const sim::Trace& trace) const override {
@@ -348,86 +227,6 @@ class BScheme final : public Scheme {
         g, static_cast<const LabelingPlan&>(plan).labeling, trace);
   }
 };
-
-struct BCompiledPlan final : CompiledPlan {
-  PlanPtr plan;  ///< keeps the labeling alive
-  std::uint32_t mu = 0;
-  SchemeResult result;  ///< counters-level observables, replay-free
-
-  std::size_t footprint() const noexcept override {
-    return sizeof(*this) + (plan ? plan->footprint() : 0);
-  }
-};
-
-void BScheme::encode_compiled(const CompiledPlan& compiled,
-                              ByteWriter& out) const {
-  const auto& c = static_cast<const BCompiledPlan&>(compiled);
-  out.u8(kTagBReplay);
-  encode_labeling_plan(*c.plan, out);
-  out.u32(c.mu);
-  encode_result(c.result, out);
-}
-
-CompiledPlanPtr BScheme::decode_compiled(ByteReader& in) const {
-  if (in.u8() != kTagBReplay || !in.ok()) return nullptr;
-  auto out = std::make_shared<BCompiledPlan>();
-  out->plan = decode_labeling_plan(in);
-  if (out->plan == nullptr) return nullptr;
-  out->mu = in.u32();
-  if (!decode_result(in, out->result)) return nullptr;
-  return out;
-}
-
-CompiledPlanPtr BScheme::compile(const Graph& g, NodeId, const PlanPtr& plan,
-                                 const SchemeOptions& opt,
-                                 const ExecutionConfig& config) const {
-  const auto& labeling = static_cast<const LabelingPlan&>(*plan).labeling;
-  auto out = std::make_shared<BCompiledPlan>();
-  out->plan = plan;
-  out->mu = opt.mu;
-  SchemeResult& r = out->result;
-  r.bound = theorem_bound(g.node_count());
-  r.ell = labeling.stages.ell;
-  r.label_bits = 2;
-  if (g.node_count() == 1) {
-    r.ok = r.all_informed = true;
-    return out;
-  }
-  core::CompiledScheduleRunner runner(g, labeling, opt.mu, config.backend,
-                                      config.threads);
-  const auto replay = runner.run();
-  r.ok = r.all_informed = replay.all_informed;
-  r.rounds = replay.rounds;
-  r.completion_round = replay.completion_round;
-  r.tx_total = replay.tx_total;
-  r.max_node_tx =
-      *std::max_element(replay.tx_count.begin(), replay.tx_count.end());
-  // Stay/data splits are exact from the schedule shape (odd rounds carry µ).
-  const auto& compiled = runner.schedule();
-  for (std::uint64_t round = 1; round <= compiled.rounds; ++round) {
-    const auto tx = compiled.round_transmitters(round).size();
-    if (core::CompiledSchedule::is_data_round(round)) {
-      r.data_tx_count += tx;
-    } else {
-      r.stay_count += tx;
-    }
-  }
-  return out;
-}
-
-SchemeResult BScheme::replay(const Graph& g, NodeId,
-                             const CompiledPlan& compiled,
-                             const ExecutionConfig& config) const {
-  const auto& c = static_cast<const BCompiledPlan&>(compiled);
-  SchemeResult out = c.result;
-  if (config.trace == sim::TraceLevel::kFull && g.node_count() > 1) {
-    core::CompiledScheduleRunner runner(
-        g, static_cast<const LabelingPlan&>(*c.plan).labeling, c.mu,
-        config.backend, config.threads);
-    out.trace = runner.run(sim::TraceLevel::kFull).trace;
-  }
-  return out;
-}
 
 /// Algorithm B_ack (Theorem 3.9): 3-bit labels, z-initiated ack chain.
 class AckScheme final : public Scheme {
@@ -451,9 +250,6 @@ class AckScheme final : public Scheme {
   PlanPtr decode_plan(ByteReader& in) const override {
     return decode_labeling_plan(in);
   }
-  void encode_compiled(const CompiledPlan& compiled,
-                       ByteWriter& out) const override;
-  CompiledPlanPtr decode_compiled(ByteReader& in) const override;
 
   PlanPtr label(const Graph& g, NodeId source,
                 const SchemeOptions& opt) const override {
@@ -509,106 +305,11 @@ class AckScheme final : public Scheme {
     out.label_bits = 3;
   }
 
-  CompiledPlanPtr compile(const Graph& g, NodeId, const PlanPtr& plan,
-                          const SchemeOptions& opt,
-                          const ExecutionConfig& config) const override;
-  SchemeResult replay(const Graph& g, NodeId source,
-                      const CompiledPlan& compiled,
-                      const ExecutionConfig& config) const override;
-};
-
-struct ExecCompiledPlan final : CompiledPlan {
-  PlanPtr plan;
-  core::CompiledExecution exec;
-  SchemeResult result;
-
-  std::size_t footprint() const noexcept override {
-    return sizeof(*this) + (plan ? plan->footprint() : 0) +
-           execution_bytes(exec);
+  std::string verify(const Graph& g, NodeId source, const Plan&,
+                     const sim::Trace& trace) const override {
+    return core::verify_ack_completion(g, source, trace);
   }
 };
-
-/// Shared ExecCompiledPlan codec: the nested plan is encoded through the
-/// owning scheme's own plan codec (its tag byte self-describes), so ack and
-/// arb compile to the same container with different plan payloads.
-void encode_exec_compiled(const Scheme& scheme, const CompiledPlan& compiled,
-                          ByteWriter& out) {
-  const auto& c = static_cast<const ExecCompiledPlan&>(compiled);
-  out.u8(kTagExec);
-  scheme.encode_plan(*c.plan, out);
-  encode_execution(c.exec, out);
-  encode_result(c.result, out);
-}
-
-CompiledPlanPtr decode_exec_compiled(const Scheme& scheme, ByteReader& in) {
-  if (in.u8() != kTagExec || !in.ok()) return nullptr;
-  auto out = std::make_shared<ExecCompiledPlan>();
-  out->plan = scheme.decode_plan(in);
-  if (out->plan == nullptr) return nullptr;
-  if (!decode_execution(in, out->exec)) return nullptr;
-  if (!decode_result(in, out->result)) return nullptr;
-  return out;
-}
-
-void AckScheme::encode_compiled(const CompiledPlan& compiled,
-                                ByteWriter& out) const {
-  encode_exec_compiled(*this, compiled, out);
-}
-
-CompiledPlanPtr AckScheme::decode_compiled(ByteReader& in) const {
-  return decode_exec_compiled(*this, in);
-}
-
-CompiledPlanPtr AckScheme::compile(const Graph& g, NodeId,
-                                   const PlanPtr& plan,
-                                   const SchemeOptions& opt,
-                                   const ExecutionConfig& config) const {
-  // Resilient retries depend on runtime receptions, which a label-determined
-  // replay cannot predict; decline and let run_with_plan use the engine.
-  if (opt.resilient) return nullptr;
-  const auto& labeling = static_cast<const LabelingPlan&>(*plan).labeling;
-  auto out = std::make_shared<ExecCompiledPlan>();
-  out->plan = plan;
-  SchemeResult& r = out->result;
-  r.bound = theorem_bound(g.node_count());
-  r.ell = labeling.stages.ell;
-  r.special = labeling.z;
-  r.label_bits = 3;
-  if (g.node_count() == 1) {
-    r.ok = r.all_informed = true;
-    return out;
-  }
-  const auto max_rounds =
-      config.max_rounds ? config.max_rounds
-                        : core::default_round_budget(g.node_count(), 6);
-  core::CompiledAckRunner runner(g, labeling, opt.mu, config.backend,
-                                 config.threads, max_rounds);
-  const auto& p = runner.prediction();
-  r.all_informed = p.all_informed;
-  r.rounds = p.rounds;
-  r.completion_round = p.completion_round;
-  r.ack_round = p.ack_round;
-  r.ok = p.all_informed && p.ack_round != 0;
-  r.max_stamp = p.max_stamp;
-  r.tx_total = runner.execution().transmitters.size();
-  out->exec = runner.execution();
-  return out;
-}
-
-SchemeResult AckScheme::replay(const Graph& g, NodeId,
-                               const CompiledPlan& compiled,
-                               const ExecutionConfig& config) const {
-  const auto& c = static_cast<const ExecCompiledPlan&>(compiled);
-  SchemeResult out = c.result;
-  if (config.trace == sim::TraceLevel::kFull && g.node_count() > 1) {
-    auto backend = sim::make_engine_backend(g, config.backend, config.threads);
-    sim::RoundResolution scratch;
-    out.trace = core::replay_execution(c.exec, g.node_count(), *backend,
-                                       scratch, sim::TraceLevel::kFull)
-                    .trace;
-  }
-  return out;
-}
 
 /// §3 closing construction: all nodes agree on the common round 2m.
 class CommonRoundScheme final : public Scheme {
@@ -730,13 +431,6 @@ class ArbScheme final : public Scheme {
     }
     return plan;
   }
-  void encode_compiled(const CompiledPlan& compiled,
-                       ByteWriter& out) const override {
-    encode_exec_compiled(*this, compiled, out);
-  }
-  CompiledPlanPtr decode_compiled(ByteReader& in) const override {
-    return decode_exec_compiled(*this, in);
-  }
 
   /// λ_arb depends on the coordinator, not the (unknown) source — the
   /// paper's whole point — so every source on a graph shares one plan.
@@ -806,56 +500,11 @@ class ArbScheme final : public Scheme {
     out.done_round = done;
   }
 
-  CompiledPlanPtr compile(const Graph& g, NodeId source, const PlanPtr& plan,
-                          const SchemeOptions& opt,
-                          const ExecutionConfig& config) const override;
-  SchemeResult replay(const Graph& g, NodeId source,
-                      const CompiledPlan& compiled,
-                      const ExecutionConfig& config) const override;
-};
-
-CompiledPlanPtr ArbScheme::compile(const Graph& g, NodeId source,
-                                   const PlanPtr& plan,
-                                   const SchemeOptions& opt,
-                                   const ExecutionConfig& config) const {
-  const auto& labeling = static_cast<const ArbPlan&>(*plan).labeling;
-  auto out = std::make_shared<ExecCompiledPlan>();
-  out->plan = plan;
-  SchemeResult& r = out->result;
-  const auto max_rounds =
-      config.max_rounds ? config.max_rounds
-                        : core::default_round_budget(g.node_count(), 16);
-  core::CompiledArbRunner runner(g, labeling, source, opt.mu, config.backend,
-                                 config.threads, max_rounds);
-  const auto& p = runner.prediction();
-  r.ok = p.ok;
-  r.all_informed = p.ok;
-  r.rounds = p.total_rounds;
-  r.completion_round = p.completion_round;
-  r.done_round = p.done_round;
-  r.T = p.T;
-  r.max_stamp = p.max_stamp;
-  r.special = labeling.coordinator;
-  r.label_bits = 3;
-  r.tx_total = runner.execution().transmitters.size();
-  out->exec = runner.execution();
-  return out;
-}
-
-SchemeResult ArbScheme::replay(const Graph& g, NodeId,
-                               const CompiledPlan& compiled,
-                               const ExecutionConfig& config) const {
-  const auto& c = static_cast<const ExecCompiledPlan&>(compiled);
-  SchemeResult out = c.result;
-  if (config.trace == sim::TraceLevel::kFull) {
-    auto backend = sim::make_engine_backend(g, config.backend, config.threads);
-    sim::RoundResolution scratch;
-    out.trace = core::replay_execution(c.exec, g.node_count(), *backend,
-                                       scratch, sim::TraceLevel::kFull)
-                    .trace;
+  std::string verify(const Graph& g, NodeId source, const Plan&,
+                     const sim::Trace& trace) const override {
+    return core::verify_arb_delivery(g, source, trace);
   }
-  return out;
-}
+};
 
 // ---------------------------------------------------------------------------
 // Multi-message acknowledged sessions (§1.2)

@@ -274,17 +274,17 @@ std::vector<BatchResults> SweepRunner::run_merged(
 std::vector<SchemeResult> SweepRunner::run_ptrs(
     const std::vector<const ExperimentSpec*>& specs,
     std::vector<std::uint64_t>& wall_ns) {
-  // Resolve every spec up front: scheme pointer, graph, plan key, compiled
-  // key.  Graphs the runner has never seen are built on the pool first, so
-  // a cold submission pays for its slowest graph rather than the sum of
-  // them.  Plans are keyed by the scheme's *plan family*, so schemes that
-  // compute the same labeling (ack / common-round / multi all build λ_ack)
-  // share one cache and store entry.
+  // Resolve every spec up front: scheme pointer, graph, plan key, recorded
+  // result key.  Graphs the runner has never seen are built on the pool
+  // first, so a cold submission pays for its slowest graph rather than the
+  // sum of them.  Plans are keyed by the scheme's *plan family*, so schemes
+  // that compute the same labeling (ack / common-round / multi all build
+  // λ_ack) share one cache and store entry.
   struct Resolved {
     const Scheme* scheme = nullptr;
     const graph::Graph* graph = nullptr;
     std::string plan_key;
-    std::string compiled_key;  ///< empty = engine path
+    std::string compiled_key;  ///< recorded result key; empty = engine
     PlanPtr plan;
     CompiledPlanPtr compiled;
   };
@@ -308,18 +308,9 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
     plan_key += r.scheme->plan_family();
     plan_key += "|";
     plan_key += r.scheme->plan_key(spec.source, spec.options);
-    if (spec.config.compiled && r.scheme->can_compile()) {
-      std::string compiled_key(plan_key);
-      compiled_key += "|";
-      compiled_key += spec.scheme;
-      compiled_key += "|src";
-      compiled_key += std::to_string(spec.source);
-      compiled_key += "|mu";
-      compiled_key += std::to_string(spec.options.mu);
-      compiled_key += "|cap";
-      compiled_key += std::to_string(spec.config.max_rounds);
-      r.compiled_key = std::move(compiled_key);
-    }
+    r.compiled_key = recorded_result_key(*r.scheme, plan_key, spec.source,
+                                         spec.options, spec.config)
+                         .value_or(std::string());
     r.plan_key = std::move(plan_key);
   }
 
@@ -379,9 +370,8 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
     if (r.plan == nullptr) r.plan = cache_.find_plan(r.plan_key);
   }
 
-  // Phase 2: load or lower every missing compiled execution exactly once.
-  // Compiled entries are keyed per scheme (their layouts differ), so the
-  // store records them under the scheme name rather than the plan family.
+  // Phase 2: load or record every missing result exactly once.  The store
+  // files records under the scheme name rather than the plan family.
   std::vector<std::size_t> compile_work;
   {
     std::unordered_map<std::string, std::size_t> first_owner;
@@ -393,7 +383,7 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
         cache_.count_compiled_lookup(true);
         continue;
       }
-      if (store_ != nullptr && r.scheme->can_store_plans()) {
+      if (store_ != nullptr) {
         const auto bytes = store_->get(PlanStoreKind::kCompiled,
                                        r.compiled_key, specs[i]->scheme);
         if (bytes) {
@@ -422,7 +412,7 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
     r.compiled = r.scheme->compile(*r.graph, spec.source, r.plan,
                                    spec.options, spec.config);
     cache_.put_compiled(r.compiled_key, r.compiled);
-    if (store_ != nullptr && r.scheme->can_store_plans()) {
+    if (store_ != nullptr) {
       support::ByteWriter writer;
       r.scheme->encode_compiled(*r.compiled, writer);
       store_->put(PlanStoreKind::kCompiled, r.compiled_key, spec.scheme,

@@ -6,8 +6,9 @@
 /// executor makes that the system's hot path — a batch of
 /// (scheme × graph × source × config) specs runs on the project thread pool
 /// with a keyed `PlanCache`: labelings are computed exactly once per
-/// (graph, plan-family, plan-key) and compiled executions exactly once per
-/// (graph, scheme, source, µ), then shared read-only across the batch and
+/// (graph, plan-family, plan-key) and, for specs that opt into
+/// `config.compiled`, results are recorded exactly once per
+/// `recorded_result_key`, then shared read-only across the batch and
 /// across subsequent batches (the warm-cache regime the sweep_throughput
 /// bench gates).  Results always arrive in spec order, so batch output is
 /// byte-identical at any thread count.
@@ -65,7 +66,8 @@ struct ExperimentSpec {
 /// per distinct key, however many specs share it); a "hit" is a spec served
 /// an already-computed entry — including specs later in the same batch; a
 /// "store hit" is an entry decoded from the attached `PlanStore` instead of
-/// constructed (the warm-restart path: zero misses, all store hits).
+/// constructed (the warm-restart path: zero misses, all store hits).  The
+/// `compiled_*` counters count recorded results the same way.
 struct PlanCacheStats {
   std::uint64_t plan_hits = 0;
   std::uint64_t plan_misses = 0;
@@ -81,7 +83,7 @@ struct PlanCacheStats {
 /// The SweepRunner computes missing entries in a dedicated batch phase, so
 /// no locking happens on the execution hot path; the mutex only guards the
 /// map itself.  With a non-zero budget, inserting past it evicts the
-/// least-recently-used entries (plans and compiled plans share one budget
+/// least-recently-used entries (plans and recorded results share one budget
 /// and one recency order); the newest entry is never evicted, so a single
 /// oversized plan still caches.
 class PlanCache {
@@ -180,7 +182,7 @@ class SweepRunner {
   PlanStore* store() const noexcept { return store_; }
 
   /// Runs the batch: resolves schemes and graphs, loads or computes every
-  /// missing plan and compiled execution exactly once (in parallel over
+  /// missing plan and recorded result exactly once (in parallel over
   /// distinct cache keys), then executes all specs in parallel.  Results
   /// are returned in spec order; for a fixed batch they are identical on
   /// any thread count.  Every spec's scheme name must be registered and its
@@ -189,7 +191,7 @@ class SweepRunner {
 
   /// Runs several independently-owned batches as ONE sweep: the specs are
   /// concatenated (batch order, spec order within each batch), every plan /
-  /// compiled execution is still loaded or computed exactly once across the
+  /// recorded result is still loaded or computed exactly once across the
   /// whole merged set, and the execution phase is one pool dispatch — so
   /// concurrent clients sweeping the same graph share one labeling and one
   /// dispatch instead of serializing N copies of the fixed batch cost.

@@ -391,7 +391,10 @@ bool Engine::step() {
   if (record_full) record.collisions = resolution_.collisions;
 
   tx_total_ += decisions_.size();
-  for (const auto& [t, msg] : decisions_) ++tx_count_[t];
+  for (const auto& [t, msg] : decisions_) {
+    ++tx_count_[t];
+    ++tx_by_kind_[static_cast<std::size_t>(msg.kind)];
+  }
   silent_streak_ = decisions_.empty() ? silent_streak_ + 1 : 0;
   if (record_full) trace_.push(std::move(record));
   return !decisions_.empty();

@@ -26,6 +26,7 @@
 ///    bit-exact with the serial scan in every mode.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <queue>
@@ -138,6 +139,11 @@ class Engine {
   /// Total transmissions so far (all kinds).
   std::uint64_t transmissions_total() const noexcept { return tx_total_; }
 
+  /// Transmissions of one message kind so far, at every trace level.
+  std::uint64_t transmissions_of(MsgKind kind) const noexcept {
+    return tx_by_kind_[static_cast<std::size_t>(kind)];
+  }
+
   /// Total `on_round()` polls issued so far — the dispatch-cost observable
   /// the active-set strategy minimizes (kScan pays n per round).
   std::uint64_t polls_total() const noexcept { return polls_total_; }
@@ -243,6 +249,7 @@ class Engine {
 
   std::uint64_t round_ = 0;
   std::uint64_t tx_total_ = 0;
+  std::array<std::uint64_t, kMsgKindCount> tx_by_kind_{};
   std::uint64_t polls_total_ = 0;
   std::uint64_t silent_streak_ = 0;
   std::uint64_t max_stamp_ = 0;

@@ -8,6 +8,7 @@
 /// and the metrics module charges each field to the wire-size accounting.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -22,6 +23,9 @@ enum class MsgKind : std::uint8_t {
   kInit,   ///< B_arb phase-1 "initialize"
   kReady,  ///< B_arb phase-2 "ready" (payload carries T)
 };
+
+/// Number of `MsgKind` values (the per-kind counters' array size).
+inline constexpr std::size_t kMsgKindCount = 5;
 
 const char* to_string(MsgKind k);
 

@@ -1,7 +1,7 @@
 /// \file bytes.hpp
 /// \brief Bounds-checked little-endian byte serialization.
 ///
-/// The plan store persists labelings and compiled executions across process
+/// The plan store persists labelings and recorded results across process
 /// restarts, so its format must be byte-stable across platforms and safe
 /// against corrupted or truncated files.  `ByteWriter` appends fixed-width
 /// little-endian fields; `ByteReader` mirrors it with a sticky failure flag:

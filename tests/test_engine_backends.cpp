@@ -1,12 +1,12 @@
 // Differential tests for the pluggable engine backends: the scalar CSR walk,
-// the bit-parallel dense stepper, the sharded multi-core stepper, the hybrid
-// CSR-scatter stepper (past the bitmap memory cap), and the compiled
-// schedule replays (Lemma 2.8 for B, the stamped-chain predictions
-// for B_ack and B_arb) must be bit-exact — identical per-round traces
-// (transmissions, deliveries, collisions), identical first-data receptions,
-// ack rounds, tx/rx counters, and stamp accounting — on randomized graphs,
-// with and without collision detection (paper §1.1: hear iff exactly one
-// neighbour transmits; transmitters hear nothing).
+// the bit-parallel dense stepper, the sharded multi-core stepper and the
+// hybrid CSR-scatter stepper (past the bitmap memory cap) must be bit-exact
+// — identical per-round traces (transmissions, deliveries, collisions),
+// identical first-data receptions, ack rounds, tx/rx counters, and stamp
+// accounting — on randomized graphs, with and without collision detection
+// (paper §1.1: hear iff exactly one neighbour transmits; transmitters hear
+// nothing).  Compiled B_ack and B_arb specs, answered by recorded results,
+// must agree with the engine.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,13 +14,13 @@
 #include <string>
 #include <vector>
 
-#include "core/arb.hpp"
-#include "core/compiled_schedule.hpp"
 #include "core/protocols.hpp"
-#include "core/schedule.hpp"
 #include "graph/bit_adjacency.hpp"
 #include "graph/generators.hpp"
+#include "parallel/thread_pool.hpp"
 #include "runtime/scheme.hpp"
+#include "runtime/sweep.hpp"
+#include "runtime/wire.hpp"
 #include "sim/backend.hpp"
 #include "sim/engine.hpp"
 #include "support/rng.hpp"
@@ -406,10 +406,10 @@ TEST(BackendDifferential, HybridBroadcastAtBitmapScale) {
 }
 
 // ---------------------------------------------------------------------------
-// Algorithm B: scalar engine vs bit engine vs compiled-schedule replay on
-// 110 randomized graphs — traces, informed rounds, and counters.
+// Algorithm B: scalar engine vs bit engine vs sharded engine on 110
+// randomized graphs — traces, informed rounds, and counters.
 
-TEST(BackendDifferential, BroadcastScalarVsBitVsCompiled) {
+TEST(BackendDifferential, BroadcastScalarVsBitVsSharded) {
   const auto graphs = random_graphs(110, 0xF00D);
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const Graph& g = graphs[i];
@@ -438,26 +438,6 @@ TEST(BackendDifferential, BroadcastScalarVsBitVsCompiled) {
     ASSERT_TRUE(scalar.all_informed()) << what;
     expect_engines_equal(scalar, bit, what);
     expect_engines_equal(scalar, sharded, what + " (sharded)");
-
-    // The compiled replay covers exactly the rounds the engine executed.
-    core::CompiledScheduleRunner compiled(g, labeling, mu,
-                                          sim::BackendKind::kAuto);
-    const auto replay = compiled.run(sim::TraceLevel::kFull);
-    EXPECT_TRUE(replay.all_informed) << what;
-    EXPECT_EQ(replay.rounds, scalar.round()) << what;
-    EXPECT_EQ(replay.completion_round, scalar.last_first_data_reception())
-        << what;
-    EXPECT_EQ(replay.tx_total, scalar.transmissions_total()) << what;
-    EXPECT_EQ(replay.max_stamp, scalar.max_stamp_seen()) << what;
-    for (NodeId v = 0; v < n; ++v) {
-      EXPECT_EQ(replay.first_data[v], scalar.first_data_reception(v))
-          << what << " node " << v;
-      EXPECT_EQ(replay.tx_count[v], scalar.tx_count(v))
-          << what << " node " << v;
-      EXPECT_EQ(replay.rx_count[v], scalar.rx_count(v))
-          << what << " node " << v;
-    }
-    expect_traces_equal(replay.trace, scalar.trace(), what + " (compiled)");
   }
 }
 
@@ -482,7 +462,7 @@ TEST(BackendDifferential, AcknowledgedBroadcastScalarVsBit) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheme-level equivalence: "b" across backends + the compiled replay.
+// Scheme-level equivalence: "b" across backends and the compiled opt-in.
 
 TEST(BackendDifferential, RunnersAgreeAcrossBackends) {
   const auto graphs = random_graphs(15, 0x5EED);
@@ -521,214 +501,51 @@ TEST(BackendDifferential, OneBitRunnerAgreesAcrossBackends) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled B_ack replay: the flat label/stamp prediction must reproduce the
-// engine + AckBroadcastProtocol execution round for round — transmissions
-// (including the z-initiated ack chain), deliveries, collisions, informed
-// rounds, ack rounds, and tx/rx/stamp counters.
+// Compiled specs: the SweepRunner answers them with the recorded engine
+// result, which must equal a fresh engine run field for field, except
+// `polls` (a dispatch cost the record leaves out).
 
-void expect_replay_matches_engine(const core::ReplayResult& replay,
-                                  const sim::Engine& engine,
-                                  const std::string& what) {
-  const auto n = engine.graph().node_count();
-  EXPECT_EQ(replay.rounds, engine.round()) << what;
-  EXPECT_EQ(replay.completion_round, engine.last_first_data_reception())
-      << what;
-  EXPECT_EQ(replay.tx_total, engine.transmissions_total()) << what;
-  EXPECT_EQ(replay.max_stamp, engine.max_stamp_seen()) << what;
-  for (NodeId v = 0; v < n; ++v) {
-    EXPECT_EQ(replay.first_data[v], engine.first_data_reception(v))
-        << what << " node " << v;
-    EXPECT_EQ(replay.tx_count[v], engine.tx_count(v)) << what << " node " << v;
-    EXPECT_EQ(replay.rx_count[v], engine.rx_count(v)) << what << " node " << v;
-  }
-  expect_traces_equal(replay.trace, engine.trace(), what);
-}
-
-TEST(CompiledAck, ReplayMatchesEngineOnRandomGraphs) {
-  const auto graphs = random_graphs(40, 0xAC4);
+void expect_recorded_matches_engine(const char* scheme,
+                                    const std::vector<Graph>& graphs,
+                                    bool rotate_coordinator) {
+  par::ThreadPool pool(2);
+  runtime::SweepRunner runner(pool);
+  std::vector<runtime::ExperimentSpec> specs;
   for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const Graph& g = graphs[i];
-    const auto n = g.node_count();
+    const auto n = graphs[i].node_count();
     if (n < 2) continue;
-    const NodeId source = static_cast<NodeId>(i % n);
-    const std::uint32_t mu = 77;
-    const auto labeling = core::label_acknowledged(g, source);
-
-    sim::Engine engine(g, core::make_ack_protocols(labeling, mu),
-                       {sim::TraceLevel::kFull, false,
-                        sim::BackendKind::kScalar});
-    auto& src =
-        dynamic_cast<core::AckBroadcastProtocol&>(engine.protocol(source));
-    const auto max_rounds = core::default_round_budget(n, 6);
-    engine.run_until(
-        [&src](const sim::Engine&) { return src.ack_round() != 0; },
-        max_rounds);
-
-    core::CompiledAckRunner compiled(g, labeling, mu);
-    const auto replay = compiled.run(sim::TraceLevel::kFull);
-    const std::string what =
-        "graph " + std::to_string(i) + " " + g.summary() + " (compiled ack)";
-    EXPECT_EQ(compiled.prediction().ack_round, src.ack_round()) << what;
-    EXPECT_EQ(compiled.prediction().all_informed, engine.all_informed())
-        << what;
-    EXPECT_EQ(compiled.prediction().completion_round,
-              engine.last_first_data_reception())
-        << what;
-    expect_replay_matches_engine(replay, engine, what);
+    runtime::ExperimentSpec spec;
+    spec.scheme = scheme;
+    spec.graph = runner.add_graph(graphs[i]);
+    spec.source = static_cast<NodeId>((i + 1) % n);
+    if (rotate_coordinator) {
+      spec.options.coordinator =
+          i % 3 == 0 ? spec.source : static_cast<NodeId>((i / 2) % n);
+    }
+    spec.config.compiled = true;
+    specs.push_back(std::move(spec));
+  }
+  const auto recorded = runner.run(specs);
+  const auto stats = runner.cache_stats();
+  ASSERT_EQ(stats.compiled_misses + stats.compiled_hits, specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto& spec = specs[i];
+    auto engine = runtime::run_scheme(scheme, runner.resolve(spec.graph),
+                                      spec.source, spec.options);
+    EXPECT_TRUE(engine.ok) << scheme << " spec #" << i;
+    engine.polls = 0;
+    EXPECT_EQ(runtime::wire::encode_result(recorded[i]),
+              runtime::wire::encode_result(engine))
+        << scheme << " spec #" << i;
   }
 }
 
 TEST(CompiledAck, RunnerAgreesWithEngineRunner) {
-  const auto graphs = random_graphs(25, 0xACE2);
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const Graph& g = graphs[i];
-    if (g.node_count() < 2) continue;
-    const NodeId source = static_cast<NodeId>(i % g.node_count());
-    const auto engine_run = runtime::run_scheme("ack", g, source);
-    const auto compiled_run = runtime::run_scheme("ack", g, source, {},
-                                                  {.compiled = true});
-    const std::string what = "graph " + std::to_string(i) + " " + g.summary();
-    EXPECT_EQ(compiled_run.all_informed, engine_run.all_informed) << what;
-    EXPECT_EQ(compiled_run.completion_round, engine_run.completion_round)
-        << what;
-    EXPECT_EQ(compiled_run.ack_round, engine_run.ack_round) << what;
-    EXPECT_EQ(compiled_run.max_stamp, engine_run.max_stamp) << what;
-    EXPECT_EQ(compiled_run.ell, engine_run.ell) << what;
-    EXPECT_EQ(compiled_run.special, engine_run.special) << what;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Compiled B_arb replay: all three phases (Init broadcast, Ready/T with the
-// source countdown, final µ broadcast with T - t_v completion timers) must
-// match the engine + ArbProtocol execution exactly.
-
-TEST(CompiledArb, ReplayMatchesEngineOnRandomGraphs) {
-  const auto graphs = random_graphs(30, 0xA7B);
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const Graph& g = graphs[i];
-    const auto n = g.node_count();
-    if (n < 2) continue;
-    // Rotate both the source and the coordinator; include source == r.
-    const NodeId source = static_cast<NodeId>(i % n);
-    const NodeId coordinator =
-        i % 3 == 0 ? source : static_cast<NodeId>((i / 2) % n);
-    const std::uint32_t mu = 99;
-    const auto labeling = core::label_arbitrary(g, coordinator);
-
-    sim::Engine engine(g, core::make_arb_protocols(labeling, source, mu),
-                       {sim::TraceLevel::kFull, false,
-                        sim::BackendKind::kScalar});
-    const auto max_rounds = core::default_round_budget(n, 16);
-    engine.run_until(
-        [](const sim::Engine& e) {
-          for (NodeId v = 0; v < e.graph().node_count(); ++v) {
-            const auto& p = dynamic_cast<const core::ArbProtocol&>(
-                e.protocol(v));
-            if (!p.mu() || p.done_round() == 0) return false;
-          }
-          return true;
-        },
-        max_rounds);
-
-    core::CompiledArbRunner compiled(g, labeling, source, mu);
-    const auto replay = compiled.run(sim::TraceLevel::kFull);
-    const std::string what = "graph " + std::to_string(i) + " " +
-                             g.summary() + " src=" + std::to_string(source) +
-                             " r=" + std::to_string(coordinator) +
-                             " (compiled arb)";
-    expect_replay_matches_engine(replay, engine, what);
-    const auto& prediction = compiled.prediction();
-    EXPECT_EQ(prediction.total_rounds, engine.round()) << what;
-    EXPECT_EQ(prediction.completion_round, engine.last_first_data_reception())
-        << what;
-    EXPECT_EQ(prediction.max_stamp, engine.max_stamp_seen()) << what;
-    for (NodeId v = 0; v < n; ++v) {
-      const auto& p = dynamic_cast<const core::ArbProtocol&>(
-          engine.protocol(v));
-      if (p.is_coordinator()) {
-        EXPECT_EQ(prediction.T, p.T()) << what;
-      }
-      if (prediction.ok) {
-        EXPECT_EQ(prediction.done_round, p.done_round())
-            << what << " node " << v;
-      }
-    }
-  }
+  expect_recorded_matches_engine("ack", random_graphs(25, 0xACE2), false);
 }
 
 TEST(CompiledArb, RunnerAgreesWithEngineRunner) {
-  const auto graphs = random_graphs(20, 0xA7B2);
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const Graph& g = graphs[i];
-    const auto n = g.node_count();
-    if (n < 2) continue;
-    const NodeId source = static_cast<NodeId>((i + 1) % n);
-    const auto engine_run = runtime::run_scheme("arb", g, source);
-    const auto compiled_run = runtime::run_scheme("arb", g, source, {},
-                                                  {.compiled = true});
-    const std::string what = "graph " + std::to_string(i) + " " + g.summary();
-    EXPECT_TRUE(engine_run.ok) << what;
-    EXPECT_EQ(compiled_run.ok, engine_run.ok) << what;
-    EXPECT_EQ(compiled_run.rounds, engine_run.rounds) << what;
-    EXPECT_EQ(compiled_run.done_round, engine_run.done_round) << what;
-    EXPECT_EQ(compiled_run.T, engine_run.T) << what;
-    EXPECT_EQ(compiled_run.special, engine_run.special) << what;
-  }
-}
-
-// Compiled replays must also hold up when resolved by the sharded backend.
-TEST(CompiledAck, ReplayBackendIndependence) {
-  Rng rng(31);
-  const Graph g = graph::gnp_connected(70, 0.3, rng);
-  const auto labeling = core::label_acknowledged(g, 0);
-  core::CompiledAckRunner scalar(g, labeling, 7, sim::BackendKind::kScalar);
-  core::CompiledAckRunner sharded(g, labeling, 7, sim::BackendKind::kSharded,
-                                  3);
-  const auto a = scalar.run(sim::TraceLevel::kFull);
-  const auto b = sharded.run(sim::TraceLevel::kFull);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.tx_total, b.tx_total);
-  EXPECT_EQ(a.max_stamp, b.max_stamp);
-  EXPECT_EQ(a.first_data, b.first_data);
-  EXPECT_EQ(a.tx_count, b.tx_count);
-  EXPECT_EQ(a.rx_count, b.rx_count);
-  expect_traces_equal(a.trace, b.trace, "compiled ack backend independence");
-}
-
-// ---------------------------------------------------------------------------
-// Compiled schedule structure
-
-TEST(CompiledSchedule, LowersPredictedRoundsFaithfully) {
-  Rng rng(3);
-  const Graph g = graph::gnp_connected(24, 0.25, rng);
-  const auto labeling = core::label_broadcast(g, 0);
-  const auto predicted = core::predict_schedule(g, labeling);
-  const auto compiled = core::compile_schedule(predicted);
-
-  EXPECT_EQ(compiled.rounds, predicted.completion_round);
-  EXPECT_EQ(compiled.completion_round, predicted.completion_round);
-  for (const auto& planned : predicted.rounds) {
-    if (planned.round > compiled.rounds) continue;
-    const auto tx = compiled.round_transmitters(planned.round);
-    ASSERT_EQ(tx.size(), planned.transmitters.size()) << planned.round;
-    for (std::size_t k = 0; k < tx.size(); ++k) {
-      EXPECT_EQ(tx[k], planned.transmitters[k]) << planned.round;
-    }
-    EXPECT_EQ(core::CompiledSchedule::is_data_round(planned.round),
-              planned.is_data)
-        << planned.round;
-  }
-}
-
-TEST(CompiledSchedule, SingleNodeGraphReplaysTrivially) {
-  const Graph g = graph::path(1);
-  const auto labeling = core::label_broadcast(g, 0);
-  core::CompiledScheduleRunner runner(g, labeling, 7);
-  const auto replay = runner.run();
-  EXPECT_TRUE(replay.all_informed);
-  EXPECT_EQ(replay.rounds, 0u);
-  EXPECT_EQ(replay.tx_total, 0u);
+  expect_recorded_matches_engine("arb", random_graphs(20, 0xA7B2), true);
 }
 
 // ---------------------------------------------------------------------------

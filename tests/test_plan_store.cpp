@@ -1,7 +1,7 @@
 // Differential oracles for plan persistence:
-//  - every registry scheme's plan (and compiled plan) must survive
-//    encode -> PlanStore -> decode with trace-for-trace identical
-//    executions vs the freshly labeled plan;
+//  - every registry scheme's plan must survive encode -> PlanStore ->
+//    decode with trace-for-trace identical executions vs the freshly
+//    labeled plan, and every recorded result must decode to itself;
 //  - record-level validation: corrupted, truncated, wrong-version,
 //    wrong-family, and trailing-byte records are rejected (nullopt +
 //    rejected counter), never crash;
@@ -24,6 +24,7 @@
 #include "runtime/plan_store.hpp"
 #include "runtime/scheme.hpp"
 #include "runtime/sweep.hpp"
+#include "runtime/wire.hpp"
 #include "support/bytes.hpp"
 
 namespace radiocast {
@@ -123,16 +124,20 @@ TEST(PlanStoreRoundTrip, EverySchemePlanSurvivesTheStore) {
     const runtime::CompiledPlanPtr cdecoded = scheme->decode_compiled(creader);
     ASSERT_NE(cdecoded, nullptr) << what;
     EXPECT_TRUE(creader.exhausted()) << what;
+    std::string cmangled = *cpayload;
+    cmangled.back() = static_cast<char>(cmangled.back() ^ 0x5a);
+    support::ByteReader cbad(cmangled);
+    EXPECT_EQ(scheme->decode_compiled(cbad), nullptr) << what;
 
     const runtime::SchemeResult ra =
         scheme->replay(g, source, *compiled, config);
     const runtime::SchemeResult rb =
         scheme->replay(g, source, *cdecoded, config);
-    EXPECT_EQ(ra.ok, rb.ok) << what;
-    EXPECT_EQ(ra.rounds, rb.rounds) << what;
-    EXPECT_EQ(ra.completion_round, rb.completion_round) << what;
-    EXPECT_EQ(ra.tx_total, rb.tx_total) << what;
-    expect_traces_equal(ra.trace, rb.trace, what + " (compiled)");
+    EXPECT_EQ(runtime::wire::encode_result(ra),
+              runtime::wire::encode_result(rb))
+        << what;
+    EXPECT_EQ(ra.rounds, a.rounds) << what;
+    EXPECT_EQ(ra.tx_total, a.tx_total) << what;
   }
 }
 
@@ -317,6 +322,65 @@ TEST(PlanStoreWarmRestart, FreshRunnerAnswersFromTheStoreAlone) {
   EXPECT_GT(stats.plan_store_hits, 0u);
   EXPECT_GT(stats.compiled_store_hits, 0u);
   EXPECT_EQ(analysis::format_sweep(specs, results), cold_lines);
+}
+
+// Format 3 changed what a .cplan record holds (a recorded SchemeResult
+// instead of a plan plus a flat predicted execution).  A record left by a
+// format-2 store must be rejected, recomputed and rewritten, never decoded.
+TEST(PlanStoreValidation, FormatTwoRecordedResultIsRecomputed) {
+  const std::string dir = fresh_dir("format_two");
+  std::vector<runtime::ExperimentSpec> specs;
+  for (const char* scheme : {"b", "ack", "arb"}) {
+    runtime::ExperimentSpec spec;
+    spec.scheme = scheme;
+    spec.graph.generator = "grid:3:4";
+    spec.config.compiled = true;
+    specs.push_back(std::move(spec));
+  }
+  std::vector<std::string> cold;
+  {
+    par::ThreadPool pool(2);
+    PlanStore store(dir);
+    runtime::SweepRunner runner(pool);
+    runner.attach_store(&store);
+    for (const auto& r : runner.run(specs)) {
+      cold.push_back(runtime::wire::encode_result(r));
+    }
+  }
+  // Stamp every .cplan record with format version 2 (u32 after "RCPS").
+  std::size_t stamped = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".cplan") continue;
+    std::fstream f(entry.path(), std::ios::in | std::ios::out |
+                                     std::ios::binary);
+    f.seekp(4);
+    const char v2[4] = {2, 0, 0, 0};
+    f.write(v2, sizeof v2);
+    ++stamped;
+  }
+  ASSERT_EQ(stamped, specs.size());
+
+  par::ThreadPool pool(2);
+  PlanStore store(dir);
+  runtime::SweepRunner runner(pool);
+  runner.attach_store(&store);
+  const auto warm = runner.run(specs);
+  const auto stats = runner.cache_stats();
+  EXPECT_EQ(stats.compiled_store_hits, 0u);
+  EXPECT_EQ(stats.compiled_misses, specs.size());
+  EXPECT_EQ(store.stats().rejected, specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(runtime::wire::encode_result(warm[i]), cold[i])
+        << specs[i].scheme;
+  }
+
+  // The recomputed records were written back in the current format.
+  PlanStore reopened(dir);
+  runtime::SweepRunner again(pool);
+  again.attach_store(&reopened);
+  again.run(specs);
+  EXPECT_EQ(again.cache_stats().compiled_store_hits, specs.size());
+  EXPECT_EQ(reopened.stats().rejected, 0u);
 }
 
 // A writer that crashes between creating its temp file and renaming it into

@@ -3,7 +3,11 @@
 //    scheme uniformly across engine backends (scalar/bit/sharded), dispatch
 //    strategies (scan/active-set), and ± collision detection, asserting
 //    full trace equality against the scalar × scan oracle;
-//  - compiled-replay trace equality for the label-determined schemes;
+//  - the paper verifiers (Lemma 2.8, Theorem 3.9, §4) on every
+//    registry execution, and golden full-trace hashes for B, B_ack and
+//    B_arb at every backend × dispatch, recorded when a flat predictor
+//    still checked the engine trace for trace;
+//  - recorded results: a compiled spec reports the engine's own result;
 //  - SweepRunner determinism (byte-identical batch output at 1, 2, and 8
 //    worker threads) and PlanCache hit/miss accounting (labelings computed
 //    exactly once per cache key);
@@ -22,6 +26,7 @@
 #include "graph/generators.hpp"
 #include "runtime/scheme.hpp"
 #include "runtime/sweep.hpp"
+#include "runtime/wire.hpp"
 #include "support/rng.hpp"
 
 namespace radiocast {
@@ -122,6 +127,8 @@ TEST(SchemeDifferential, AllSchemesAgreeAcrossBackendsAndDispatch) {
         const auto plan = scheme->label(g, 0, opt);
         const auto oracle =
             runtime::run_with_plan(*scheme, g, 0, plan, opt, oracle_cfg);
+        EXPECT_EQ(scheme->verify(g, 0, *plan, oracle.trace), "")
+            << scheme->name() << " graph#" << gi << (cd ? " +cd" : "");
         for (const Variant& v : variants) {
           ExecutionConfig cfg = oracle_cfg;
           cfg.backend = v.backend;
@@ -140,7 +147,11 @@ TEST(SchemeDifferential, AllSchemesAgreeAcrossBackendsAndDispatch) {
   }
 }
 
-// The compiled fast paths must replay the exact engine execution.
+// A compiled spec is answered by a recorded result: `compile` runs the
+// engine once at counters level and `replay` hands that result back.  It
+// equals the engine run field for field except `polls`, a one-off
+// `run_scheme` of the spec agrees with it, and a full-trace compiled spec
+// takes the engine outright.
 TEST(SchemeDifferential, CompiledReplayMatchesEngineTrace) {
   const auto graphs = differential_graphs();
   for (const char* name : {"b", "ack", "arb"}) {
@@ -149,24 +160,34 @@ TEST(SchemeDifferential, CompiledReplayMatchesEngineTrace) {
     ASSERT_TRUE(scheme->can_compile());
     for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
       const Graph& g = graphs[gi];
-      ExecutionConfig engine_cfg;
-      engine_cfg.trace = sim::TraceLevel::kFull;
-      ExecutionConfig compiled_cfg = engine_cfg;
-      compiled_cfg.compiled = true;
-      const auto engine = runtime::run_scheme(*scheme, g, 0, {}, engine_cfg);
-      const auto compiled =
-          runtime::run_scheme(*scheme, g, 0, {}, compiled_cfg);
       const std::string context =
           std::string(name) + " graph#" + std::to_string(gi);
-      EXPECT_EQ(engine.ok, compiled.ok) << context;
-      EXPECT_EQ(engine.rounds, compiled.rounds) << context;
-      EXPECT_EQ(engine.completion_round, compiled.completion_round)
+      ExecutionConfig engine_cfg;
+      engine_cfg.trace = sim::TraceLevel::kFull;
+      ExecutionConfig full_cfg = engine_cfg;
+      full_cfg.compiled = true;
+      const auto engine = runtime::run_scheme(*scheme, g, 0, {}, engine_cfg);
+      const auto full = runtime::run_scheme(*scheme, g, 0, {}, full_cfg);
+      expect_results_equal(engine, full, context);
+      EXPECT_EQ(engine.polls, full.polls) << context;
+      expect_trace_equal(engine.trace, full.trace, context);
+
+      ExecutionConfig compiled_cfg;
+      compiled_cfg.compiled = true;
+      const auto plan = scheme->label(g, 0, {});
+      const auto record = scheme->compile(g, 0, plan, {}, compiled_cfg);
+      ASSERT_NE(record, nullptr) << context;
+      const auto replayed = scheme->replay(g, 0, *record, compiled_cfg);
+      EXPECT_TRUE(replayed.trace.rounds().empty()) << context;
+      SchemeResult want = engine;
+      want.polls = 0;
+      EXPECT_EQ(runtime::wire::encode_result(replayed),
+                runtime::wire::encode_result(want))
           << context;
-      EXPECT_EQ(engine.max_stamp, compiled.max_stamp) << context;
-      EXPECT_EQ(engine.ack_round, compiled.ack_round) << context;
-      EXPECT_EQ(engine.done_round, compiled.done_round) << context;
-      EXPECT_EQ(engine.tx_total, compiled.tx_total) << context;
-      expect_trace_equal(engine.trace, compiled.trace, context);
+      EXPECT_EQ(runtime::wire::encode_result(
+                    runtime::run_scheme(*scheme, g, 0, {}, compiled_cfg)),
+                runtime::wire::encode_result(replayed))
+          << context;
     }
   }
 }
@@ -191,6 +212,171 @@ TEST(SchemeRuntime, VerifyHookChecksLemma28) {
   const auto run = runtime::run_with_plan(*scheme, g, 0, plan, {}, cfg);
   ASSERT_TRUE(run.ok);
   EXPECT_EQ(scheme->verify(g, 0, *plan, run.trace), "");
+}
+
+// FNV-1a over every round's transmissions, deliveries and collisions,
+// messages included field by field.
+std::uint64_t trace_hash(const sim::Trace& trace) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto mix_message = [&mix](const sim::Message& m) {
+    mix(static_cast<std::uint64_t>(m.kind));
+    mix(m.phase);
+    mix(m.payload);
+    mix(m.stamp ? *m.stamp + 1 : 0);
+  };
+  for (const auto& round : trace.rounds()) {
+    mix(round.transmissions.size());
+    for (const auto& [v, m] : round.transmissions) {
+      mix(v);
+      mix_message(m);
+    }
+    mix(round.deliveries.size());
+    for (const auto& [v, m] : round.deliveries) {
+      mix(v);
+      mix_message(m);
+    }
+    mix(round.collisions.size());
+    for (const auto v : round.collisions) mix(v);
+  }
+  return h;
+}
+
+// B, B_ack and B_arb full traces pinned by hash.  The hashes were recorded
+// while the flat compiled predictors still reproduced these engine traces
+// trace for trace, so they carry that oracle forward: every backend ×
+// dispatch must reproduce them, and each trace must pass its scheme's
+// paper verifier.
+TEST(GoldenTraces, PaperSchemesMatchRecordedHashes) {
+  struct Golden {
+    const char* graph;
+    const char* scheme;
+    graph::NodeId source;
+    graph::NodeId coordinator;
+    std::uint64_t rounds;
+    std::uint64_t hash;
+  };
+  const Golden goldens[] = {
+      {"path:40", "b", 0, 0, 77, 0x2d972384317c7aa3ull},
+      {"path:40", "b", 20, 0, 39, 0xec87fbadfb24bc51ull},
+      {"path:40", "b", 39, 0, 77, 0x239b9a7ea55d4583ull},
+      {"path:40", "ack", 0, 0, 116, 0x30608d35169b8369ull},
+      {"path:40", "ack", 20, 0, 59, 0x9dc190d5a463243dull},
+      {"path:40", "ack", 39, 0, 116, 0x36d2a3a3d793ae09ull},
+      {"path:40", "arb", 0, 0, 271, 0xd732dc031a6a47c9ull},
+      {"path:40", "arb", 20, 0, 329, 0xb221a35e6c31e1f5ull},
+      {"path:40", "arb", 39, 13, 256, 0xe07b5552c7322f44ull},
+      {"path:40", "arb", 13, 39, 347, 0xb62be2c7eda64494ull},
+      {"star:33", "b", 0, 0, 1, 0x56dacdc851626a0eull},
+      {"star:33", "b", 16, 0, 3, 0xb7b2dac47c5438deull},
+      {"star:33", "b", 32, 0, 3, 0x9f45a3dd9d8f6aeeull},
+      {"star:33", "ack", 0, 0, 2, 0x8b0d5b064074cf4dull},
+      {"star:33", "ack", 16, 0, 5, 0x8c0e3a91880c785aull},
+      {"star:33", "ack", 32, 0, 5, 0xe75a3aa7faebb46aull},
+      {"star:33", "arb", 0, 0, 5, 0xc662c34e71d7d52bull},
+      {"star:33", "arb", 16, 0, 6, 0x2ece6a6d3e562fdbull},
+      {"star:33", "arb", 32, 11, 16, 0x000f2cdf37bd362eull},
+      {"star:33", "arb", 11, 32, 16, 0x46b602b1330a386eull},
+      {"grid:6:7", "b", 0, 0, 21, 0x350cb3e675094a20ull},
+      {"grid:6:7", "b", 21, 0, 17, 0xd41ffe74a50b7f7full},
+      {"grid:6:7", "b", 41, 0, 21, 0xa5d6f79820286542ull},
+      {"grid:6:7", "ack", 0, 0, 32, 0x5e99c972b386e99eull},
+      {"grid:6:7", "ack", 21, 0, 26, 0xa89fe1c769429491ull},
+      {"grid:6:7", "ack", 41, 0, 32, 0x893a57a9ebe07f9dull},
+      {"grid:6:7", "arb", 0, 0, 75, 0x1d61a0f3e99ce938ull},
+      {"grid:6:7", "arb", 21, 0, 82, 0x204af2fe5195ee39ull},
+      {"grid:6:7", "arb", 41, 14, 86, 0x6bd8c404c828272full},
+      {"grid:6:7", "arb", 14, 41, 100, 0xa99a6bcc9df999b8ull},
+      {"gnp:60:0.08:3", "b", 0, 0, 13, 0x048e125f49ff14f0ull},
+      {"gnp:60:0.08:3", "b", 30, 0, 9, 0xafd0c5d0e2b4a5f6ull},
+      {"gnp:60:0.08:3", "b", 59, 0, 11, 0x68d6601e4389b8f6ull},
+      {"gnp:60:0.08:3", "ack", 0, 0, 18, 0xceb3eb17a4e2cdd2ull},
+      {"gnp:60:0.08:3", "ack", 30, 0, 13, 0xdd32938212e74679ull},
+      {"gnp:60:0.08:3", "ack", 59, 0, 14, 0x70ed5add4d456becull},
+      {"gnp:60:0.08:3", "arb", 0, 0, 45, 0x60ac52df060e09b2ull},
+      {"gnp:60:0.08:3", "arb", 30, 0, 55, 0xc0fd030eee326f20ull},
+      {"gnp:60:0.08:3", "arb", 59, 20, 33, 0x994e2c4cba9a5559ull},
+      {"gnp:60:0.08:3", "arb", 20, 59, 38, 0x75143ae1af5d49e3ull},
+      {"disk:80:0.2:5", "b", 0, 0, 13, 0x22077fe3815835c8ull},
+      {"disk:80:0.2:5", "b", 40, 0, 19, 0x6b6611511869231cull},
+      {"disk:80:0.2:5", "b", 79, 0, 15, 0x92e79d1a45920e48ull},
+      {"disk:80:0.2:5", "ack", 0, 0, 20, 0xa0ffb4643459277dull},
+      {"disk:80:0.2:5", "ack", 40, 0, 29, 0x7737f3488dc1544aull},
+      {"disk:80:0.2:5", "ack", 79, 0, 23, 0x53674777e949edb9ull},
+      {"disk:80:0.2:5", "arb", 0, 0, 47, 0x8c63ca0a2edf6257ull},
+      {"disk:80:0.2:5", "arb", 40, 0, 57, 0x7f8bd48c6307206eull},
+      {"disk:80:0.2:5", "arb", 79, 26, 60, 0x81c57c1c8752afabull},
+      {"disk:80:0.2:5", "arb", 26, 79, 64, 0x20c2619289e0ffc1ull},
+      {"sgnp:150:4:7", "b", 0, 0, 13, 0xb31a0fa910a2fd9bull},
+      {"sgnp:150:4:7", "b", 75, 0, 13, 0x28623161e592fed3ull},
+      {"sgnp:150:4:7", "b", 149, 0, 13, 0xb77065ab4d96229eull},
+      {"sgnp:150:4:7", "ack", 0, 0, 20, 0xc29cd897d4bd0940ull},
+      {"sgnp:150:4:7", "ack", 75, 0, 19, 0xfda2abf2e1d76b6aull},
+      {"sgnp:150:4:7", "ack", 149, 0, 20, 0x5a09786d6a528a72ull},
+      {"sgnp:150:4:7", "arb", 0, 0, 47, 0x4c612f6bba6cbfccull},
+      {"sgnp:150:4:7", "arb", 75, 0, 60, 0xd4839c4954442d61ull},
+      {"sgnp:150:4:7", "arb", 149, 50, 50, 0x0cab5d85bffee75eull},
+      {"sgnp:150:4:7", "arb", 50, 149, 60, 0x3533a6eefe4d2baaull},
+  };
+  struct Variant {
+    sim::BackendKind backend;
+    sim::DispatchKind dispatch;
+    std::size_t threads;
+  };
+  const Variant variants[] = {
+      {sim::BackendKind::kScalar, sim::DispatchKind::kScan, 0},
+      {sim::BackendKind::kScalar, sim::DispatchKind::kActiveSet, 0},
+      {sim::BackendKind::kBit, sim::DispatchKind::kScan, 0},
+      {sim::BackendKind::kBit, sim::DispatchKind::kActiveSet, 0},
+      {sim::BackendKind::kSharded, sim::DispatchKind::kScan, 2},
+      {sim::BackendKind::kSharded, sim::DispatchKind::kActiveSet, 2},
+      {sim::BackendKind::kHybrid, sim::DispatchKind::kActiveSet, 2},
+  };
+  std::string cached_descriptor;
+  Graph g;
+  for (const Golden& want : goldens) {
+    if (want.graph != cached_descriptor) {
+      g = graph::from_descriptor(want.graph);
+      cached_descriptor = want.graph;
+    }
+    const auto* scheme = SchemeRegistry::instance().find(want.scheme);
+    ASSERT_NE(scheme, nullptr);
+    SchemeOptions opt;
+    opt.coordinator = want.coordinator;
+    const auto plan = scheme->label(g, want.source, opt);
+    for (const Variant& v : variants) {
+      ExecutionConfig cfg;
+      cfg.backend = v.backend;
+      cfg.dispatch = v.dispatch;
+      cfg.threads = v.threads;
+      cfg.trace = sim::TraceLevel::kFull;
+      const auto run =
+          runtime::run_with_plan(*scheme, g, want.source, plan, opt, cfg);
+      const std::string context =
+          std::string(want.scheme) + " " + want.graph + " src " +
+          std::to_string(want.source) + " r " +
+          std::to_string(want.coordinator) + " " + to_string(v.backend) +
+          "/" + std::to_string(static_cast<int>(v.dispatch));
+      EXPECT_TRUE(run.ok) << context;
+      EXPECT_EQ(run.rounds, want.rounds) << context;
+      EXPECT_EQ(trace_hash(run.trace), want.hash) << context;
+      EXPECT_EQ(scheme->verify(g, want.source, *plan, run.trace), "")
+          << context;
+      if (std::string(want.scheme) == "b") {  // the per-kind counters
+        EXPECT_EQ(run.stay_count,
+                  run.trace.count_transmissions(sim::MsgKind::kStay))
+            << context;
+        EXPECT_EQ(run.data_tx_count,
+                  run.trace.count_transmissions(sim::MsgKind::kData))
+            << context;
+      }
+    }
+  }
 }
 
 // Satellite: the multi-message protocol and the baselines now implement the
@@ -390,7 +576,7 @@ TEST(SweepRunner, PlanCacheComputesEachKeyOnceAndCountsHits) {
   EXPECT_EQ(stats.plan_misses, 4u);
   EXPECT_EQ(stats.plan_hits, 10u);
 
-  // Compiled executions cache per (graph, scheme, source, µ).
+  // Recorded results cache per recorded_result_key.
   ExperimentSpec compiled = spec("b", 0);
   compiled.config.compiled = true;
   const std::vector<ExperimentSpec> compiled_batch = {compiled, compiled};

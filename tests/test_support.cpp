@@ -190,22 +190,21 @@ TEST(Stopwatch, MeasuresElapsedTime) {
 TEST(ThreadPool, RunsAllTasks) {
   par::ThreadPool pool(4);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait_idle();
+  par::parallel_for(pool, 100, [&count](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ThreadPool, PropagatesExceptions) {
   par::ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
+  EXPECT_THROW(par::parallel_for(pool, 8,
+                                 [](std::size_t i) {
+                                   if (i == 5) throw std::runtime_error("boom");
+                                 }),
+               std::runtime_error);
   // Pool remains usable after an exception.
   std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
+  par::parallel_for(pool, 8, [&count](std::size_t) { ++count; });
+  EXPECT_EQ(count.load(), 8);
 }
 
 TEST(ParallelFor, CoversEveryIndexOnce) {

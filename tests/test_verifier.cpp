@@ -1,11 +1,13 @@
-// Tests for the Lemma 2.8 trace verifier itself: it must accept exactly the
-// executions the lemma describes and reject every perturbation — otherwise
-// the hundreds of sweep tests that rely on it prove nothing.
+// Tests for the trace verifiers themselves: Lemma 2.8 (B), Theorem 3.9
+// (B_ack) and §4 (B_arb).  Each must accept honest executions and reject
+// perturbations — otherwise the sweep and differential tests that rely on
+// them prove nothing.
 #include <gtest/gtest.h>
 
 #include "core/protocols.hpp"
 #include "core/verifier.hpp"
 #include "graph/generators.hpp"
+#include "runtime/scheme.hpp"
 #include "sim/engine.hpp"
 #include "support/rng.hpp"
 
@@ -152,6 +154,113 @@ TEST(Verifier, AgreesWithHonestRunsOnRandomGraphs) {
     engine.run_until([](const sim::Engine& e) { return e.all_informed(); }, 64);
     EXPECT_TRUE(verify_lemma_2_8(g, labeling, engine.trace()).empty());
   }
+}
+
+/// A full-trace run of a registry scheme.
+Trace full_trace(const char* scheme, const Graph& g, NodeId source,
+                 NodeId coordinator = 0) {
+  runtime::SchemeOptions opt;
+  opt.coordinator = coordinator;
+  const auto run = runtime::run_scheme(scheme, g, source, opt,
+                                       {.trace = sim::TraceLevel::kFull});
+  EXPECT_TRUE(run.ok) << scheme;
+  return run.trace;
+}
+
+/// `trace` with every delivery to `v` dropped.
+Trace deaf(const Trace& trace, NodeId v) {
+  Trace out;
+  for (RoundRecord r : trace.rounds()) {
+    std::erase_if(r.deliveries, [v](const auto& d) { return d.first == v; });
+    out.push(std::move(r));
+  }
+  return out;
+}
+
+TEST(AckVerifier, AcceptsHonestRuns) {
+  Rng rng(41);
+  for (int rep = 0; rep < 10; ++rep) {
+    const auto g = graph::gnp_connected(20, 0.2, rng);
+    const auto source = static_cast<NodeId>(rep);
+    EXPECT_EQ(verify_ack_completion(g, source, full_trace("ack", g, source)),
+              "");
+  }
+  EXPECT_EQ(verify_ack_completion(graph::path(1), 0, Trace{}), "");
+}
+
+TEST(AckVerifier, RejectsUninformedNodeAndMissingAck) {
+  const auto g = graph::grid(4, 5);
+  const Trace honest = full_trace("ack", g, 0);
+  const auto uninformed = verify_ack_completion(g, 0, deaf(honest, 13));
+  EXPECT_NE(uninformed.find("node 13"), std::string::npos) << uninformed;
+  const auto no_ack = verify_ack_completion(g, 0, deaf(honest, 0));
+  EXPECT_NE(no_ack.find("never receives an ack"), std::string::npos)
+      << no_ack;
+}
+
+TEST(AckVerifier, RejectsCompletionPastTwoNMinusThree) {
+  // path(3) from 0: 2n - 3 = 3, but node 2 first hears µ in round 4.
+  const auto g = graph::path(3);
+  const Message mu{MsgKind::kData, 0, 7, 1};
+  const Message ack{MsgKind::kAck, 0, 0, 4};
+  Trace t;
+  t.push({{{0, mu}}, {{1, mu}}, {}});
+  t.push({});
+  t.push({});
+  t.push({{{1, mu}}, {{2, mu}}, {}});
+  t.push({{{1, ack}}, {{0, ack}}, {}});
+  const auto verdict = verify_ack_completion(g, 0, t);
+  EXPECT_NE(verdict.find("2n-3"), std::string::npos) << verdict;
+
+  // An ack that overtakes µ: node 2 is informed only after the source
+  // heard its ack.
+  Trace overtaken;
+  overtaken.push({{{0, mu}}, {{1, mu}}, {}});
+  overtaken.push({{{1, ack}}, {{0, ack}}, {}});
+  overtaken.push({{{1, mu}}, {{2, mu}}, {}});
+  const auto order = verify_ack_completion(g, 0, overtaken);
+  EXPECT_NE(order.find("not before the source's ack"), std::string::npos)
+      << order;
+}
+
+TEST(ArbVerifier, AcceptsHonestRuns) {
+  Rng rng(43);
+  for (int rep = 0; rep < 10; ++rep) {
+    const auto g = graph::gnp_connected(20, 0.2, rng);
+    const auto source = static_cast<NodeId>(rep);
+    const auto coordinator = static_cast<NodeId>(rep % 3 == 0 ? rep : 19);
+    EXPECT_EQ(verify_arb_delivery(
+                  g, source, full_trace("arb", g, source, coordinator)),
+              "");
+  }
+}
+
+TEST(ArbVerifier, RejectsEarlyRelayForeignPayloadAndDeafNode) {
+  const auto g = graph::grid(4, 5);
+  const NodeId source = 7;
+  const Trace honest = full_trace("arb", g, source, 0);
+  // Node 12 puts µ on the air in round 1, before anyone could tell it.
+  Trace early;
+  for (std::size_t t = 0; t < honest.rounds().size(); ++t) {
+    RoundRecord r = honest.rounds()[t];
+    if (t == 0) r.transmissions.push_back({12, {MsgKind::kData, 3, 42, 1}});
+    early.push(std::move(r));
+  }
+  const auto relay = verify_arb_delivery(g, source, early);
+  EXPECT_NE(relay.find("before receiving"), std::string::npos) << relay;
+  // The same forged transmission with another payload is not µ at all.
+  Trace foreign;
+  for (std::size_t t = 0; t < honest.rounds().size(); ++t) {
+    RoundRecord r = honest.rounds()[t];
+    if (t + 1 == honest.rounds().size()) {
+      r.transmissions.push_back({12, {MsgKind::kData, 3, 43, 1}});
+    }
+    foreign.push(std::move(r));
+  }
+  const auto payload = verify_arb_delivery(g, source, foreign);
+  EXPECT_NE(payload.find("not mu"), std::string::npos) << payload;
+  const auto never = verify_arb_delivery(g, source, deaf(honest, 19));
+  EXPECT_NE(never.find("node 19"), std::string::npos) << never;
 }
 
 }  // namespace

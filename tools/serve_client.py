@@ -370,7 +370,9 @@ def main():
         "--sources", type=int, default=4, help="distinct sources to cycle"
     )
     batch.add_argument(
-        "--compiled", action="store_true", help="use the compiled fast path"
+        "--compiled",
+        action="store_true",
+        help="answer from recorded results (one engine run per spec key)",
     )
     batch.add_argument(
         "--faults",
