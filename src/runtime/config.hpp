@@ -29,9 +29,9 @@ struct ExecutionConfig {
   std::size_t threads = 0;
   /// Opt into a recorded result: the sweep runs the engine once per
   /// `recorded_result_key` and answers repeats from the PlanCache or the
-  /// PlanStore (`polls` reads 0 in such an answer).  Schemes that cannot
-  /// compile, faulted specs and full-trace specs always take the engine.
-  /// The wire field `"compiled"` carries it.
+  /// PlanStore (`polls` reads 0 in such an answer).  Every scheme can be
+  /// recorded, faulted specs included; only full-trace specs always take
+  /// the engine.  The wire field `"compiled"` carries it.
   bool compiled = false;
   /// Collision-detection mode.  Schemes that require it (beep) force it on
   /// regardless of this setting.
@@ -45,8 +45,9 @@ struct ExecutionConfig {
   /// exceeds it, least-recently-used plans are evicted; with a plan store
   /// attached, evicted entries reload from disk instead of recomputing.
   std::size_t plan_cache_bytes = 0;
-  /// Deterministic fault injection (sim/faults.hpp).  An enabled plan
-  /// always takes the engine: recorded results are keyed without faults.
+  /// Deterministic fault injection (sim/faults.hpp).  An enabled plan is
+  /// part of a recorded result's key, so a faulted compiled spec never
+  /// shares a record with a fault-free one.
   sim::FaultPlan faults = {};
 
   /// Lowers the config to engine options (collision detection as-is; the

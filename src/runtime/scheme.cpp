@@ -11,10 +11,8 @@ namespace {
 
 /// True iff a spec is answered by a recorded result (see
 /// `recorded_result_key`).
-bool takes_recorded_result(const Scheme& scheme,
-                           const ExecutionConfig& config) {
-  return config.compiled && scheme.can_compile() &&
-         !config.faults.enabled() && config.trace != sim::TraceLevel::kFull;
+bool takes_recorded_result(const ExecutionConfig& config) {
+  return config.compiled && config.trace != sim::TraceLevel::kFull;
 }
 
 /// The engine half of `run_with_plan`.
@@ -57,12 +55,6 @@ std::string Scheme::plan_key(NodeId source, const SchemeOptions& opt) const {
   return key;
 }
 
-void Scheme::encode_plan(const Plan&, support::ByteWriter&) const {
-  RC_ASSERT_MSG(false, "scheme does not persist plans");
-}
-
-PlanPtr Scheme::decode_plan(support::ByteReader&) const { return nullptr; }
-
 void Scheme::encode_compiled(const CompiledPlan& compiled,
                              support::ByteWriter& out) const {
   out.str(wire::encode_result(compiled.result));
@@ -91,13 +83,11 @@ bool Scheme::run_trivial(const Graph&, NodeId, const Plan&,
 CompiledPlanPtr Scheme::compile(const Graph& g, NodeId source,
                                 const PlanPtr& plan, const SchemeOptions& opt,
                                 const ExecutionConfig& config) const {
-  RC_EXPECTS(plan != nullptr);
-  RC_EXPECTS(source < g.node_count());
-  ExecutionConfig counters = config;
-  counters.trace = sim::TraceLevel::kCounters;
+  ExecutionConfig recorded = config;
+  recorded.compiled = true;
+  recorded.trace = sim::TraceLevel::kCounters;
   auto out = std::make_shared<CompiledPlan>();
-  out->result = execute(*this, g, source, *plan, opt, counters);
-  out->result.polls = 0;
+  out->result = run_with_plan(*this, g, source, plan, opt, recorded);
   return out;
 }
 
@@ -158,7 +148,7 @@ SchemeResult run_with_plan(const Scheme& scheme, const Graph& g,
   RC_EXPECTS(plan != nullptr);
   RC_EXPECTS(source < g.node_count());
   SchemeResult out = execute(scheme, g, source, *plan, opt, config);
-  if (takes_recorded_result(scheme, config)) out.polls = 0;
+  if (takes_recorded_result(config)) out.polls = 0;
   return out;
 }
 
@@ -167,7 +157,7 @@ std::optional<std::string> recorded_result_key(const Scheme& scheme,
                                                NodeId source,
                                                const SchemeOptions& opt,
                                                const ExecutionConfig& config) {
-  if (!takes_recorded_result(scheme, config)) return std::nullopt;
+  if (!takes_recorded_result(config)) return std::nullopt;
   std::string key(plan_key);
   key += "|";
   key += scheme.name();
@@ -178,6 +168,10 @@ std::optional<std::string> recorded_result_key(const Scheme& scheme,
   key += "|cap";
   key += std::to_string(config.max_rounds);
   key += config.collision_detection ? "|cd" : "|nocd";
+  if (config.faults.enabled()) {
+    key += "|faults";
+    key += wire::faults_to_json(config.faults).dump();
+  }
   return key;
 }
 

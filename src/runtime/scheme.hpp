@@ -21,10 +21,12 @@
 /// examples and both front ends all call it.
 ///
 /// A spec that opts into `ExecutionConfig::compiled` is answered by a
-/// recorded result: `compile` runs that same engine path once and keeps
-/// its `SchemeResult`, which the sweep caches and stores under
-/// `recorded_result_key` and `replay` hands back.  There is no second
-/// execution model to keep in step with the engine.
+/// recorded result: the engine's own `SchemeResult` for that spec, kept
+/// under `recorded_result_key` as a `CompiledPlan`.  It is one more kind of
+/// Plan: the sweep caches and stores it beside the labelings, and records
+/// it from the spec's ordinary execution.  Every scheme can be recorded and
+/// every plan can be stored, so there is no per-scheme opt-in and no
+/// second execution model to keep in step with the engine.
 #pragma once
 
 #include <cstdint>
@@ -113,13 +115,13 @@ struct SchemeResult {
 
 /// A recorded result: the engine's counters-level `SchemeResult` for one
 /// `recorded_result_key`, with `polls` cleared (a dispatch cost, which the
-/// key leaves out).  Shared read-only by the PlanCache; persisted as a
-/// PlanStore `kCompiled` record.
-struct CompiledPlan {
+/// key leaves out).  A Plan kind of its own, so the PlanCache holds it
+/// beside the labelings under one byte budget; persisted as a PlanStore
+/// `kCompiled` record.
+struct CompiledPlan final : Plan {
   SchemeResult result;
 
-  /// Approximate resident bytes (see Plan::footprint).
-  std::size_t footprint() const noexcept {
+  std::size_t footprint() const noexcept override {
     return sizeof(*this) +
            result.ack_rounds.capacity() * sizeof(std::uint64_t);
   }
@@ -140,9 +142,9 @@ class Scheme {
   /// `run_scheme` forces the engine signal on for such schemes.
   virtual bool needs_collision_detection() const noexcept { return false; }
 
-  /// True iff specs that opt into `ExecutionConfig::compiled` are answered
-  /// by a recorded result (see `recorded_result_key`).
-  virtual bool can_compile() const noexcept { return false; }
+  /// Always true: every scheme's compiled specs are answered by a recorded
+  /// result (see `recorded_result_key`).
+  bool can_compile() const noexcept { return true; }
 
   /// The labeling identity this scheme's plans belong to.  Schemes whose
   /// `label` computes the *same* construction share a family so one cached
@@ -158,19 +160,19 @@ class Scheme {
   /// (B_arb) or the options (baselines) override to widen sharing.
   virtual std::string plan_key(NodeId source, const SchemeOptions& opt) const;
 
-  /// True iff the scheme implements the plan codec below, making its plans
-  /// persistable in a PlanStore.  (Recorded results always are.)
-  virtual bool can_store_plans() const noexcept { return false; }
+  /// Always true: every scheme implements the plan codec below.
+  bool can_store_plans() const noexcept { return true; }
 
-  /// Serializes a plan into the store's byte format.  Only called when
-  /// `can_store_plans()`; the bytes must round-trip through `decode_plan`
-  /// into a plan whose executions are trace-for-trace identical.
-  virtual void encode_plan(const Plan& plan, support::ByteWriter& out) const;
+  /// Serializes a plan into the store's byte format; the bytes must
+  /// round-trip through `decode_plan` into a plan whose executions are
+  /// trace-for-trace identical.
+  virtual void encode_plan(const Plan& plan,
+                           support::ByteWriter& out) const = 0;
 
   /// Decodes `encode_plan` output.  Returns nullptr on malformed bytes
   /// (the reader's failure flag, trailing bytes, or semantic violations) —
   /// never throws on untrusted input.
-  virtual PlanPtr decode_plan(support::ByteReader& in) const;
+  virtual PlanPtr decode_plan(support::ByteReader& in) const = 0;
 
   /// Serializes a recorded result into the store's byte format: its
   /// canonical wire JSON (runtime/wire.hpp), length-prefixed.
@@ -213,9 +215,10 @@ class Scheme {
   virtual bool run_trivial(const Graph& g, NodeId source, const Plan& plan,
                            const SchemeOptions& opt, SchemeResult& out) const;
 
-  /// Records a result: runs the engine exactly as `run_with_plan` does, at
-  /// counters level, and keeps the `SchemeResult` with `polls` cleared.
-  /// The caller files it under `recorded_result_key`.
+  /// Records a result outside a sweep: `run_with_plan` at counters level as
+  /// a compiled spec, so `polls` reads 0.  The sweep records the same
+  /// result from its own execution pass instead; the caller files it under
+  /// `recorded_result_key`.
   CompiledPlanPtr compile(const Graph& g, NodeId source, const PlanPtr& plan,
                           const SchemeOptions& opt,
                           const ExecutionConfig& config) const;
@@ -277,13 +280,13 @@ SchemeResult run_with_plan(const Scheme& scheme, const Graph& g,
 
 /// The one decision whether a spec is answered by a recorded result, and
 /// the key it is recorded under.  Returns nullopt when the spec takes the
-/// engine: it did not opt in (`config.compiled`), the scheme cannot
-/// compile, a fault plan is enabled, or it asks for a full trace.
-/// Otherwise the key is `plan_key` (the spec's PlanCache key, which names
-/// the graph), the scheme, the source, the canonical wire encoding of
-/// `opt`, `config.max_rounds` and collision detection.  Backend, dispatch,
-/// ISA and threads stay out: the differential suites pin that they never
-/// change a result.
+/// engine: it did not opt in (`config.compiled`) or it asks for a full
+/// trace.  Otherwise the key is `plan_key` (the spec's PlanCache key, which
+/// names the graph), the scheme, the source, the canonical wire encoding of
+/// `opt`, `config.max_rounds`, collision detection and, when a fault plan
+/// is enabled, its canonical wire encoding (so fault-free keys are the same
+/// as before faults could be recorded).  Backend, dispatch, ISA and threads
+/// stay out: the differential suites pin that they never change a result.
 std::optional<std::string> recorded_result_key(const Scheme& scheme,
                                                std::string_view plan_key,
                                                NodeId source,

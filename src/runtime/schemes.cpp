@@ -131,7 +131,9 @@ std::size_t node_sets_bytes(const std::vector<std::vector<NodeId>>& sets) {
   return bytes;
 }
 
-std::size_t labeling_bytes(const core::Labeling& l) {
+/// Resident bytes of a λ, λ_ack or λ_arb labeling's labels and stage sets.
+template <typename AnyLabeling>
+std::size_t labeling_bytes(const AnyLabeling& l) {
   return l.labels.size() * sizeof(core::Label) +
          node_sets_bytes(l.stages.dom) + node_sets_bytes(l.stages.fresh) +
          node_sets_bytes(l.stages.frontier) +
@@ -139,7 +141,7 @@ std::size_t labeling_bytes(const core::Labeling& l) {
 }
 
 // ---------------------------------------------------------------------------
-// λ schemes: B, B_ack, common-round (one λ/λ_ack labeling as the plan)
+// λ schemes: B, B_ack, common-round, multi (one λ/λ_ack labeling as plan)
 // ---------------------------------------------------------------------------
 
 struct LabelingPlan final : Plan {
@@ -150,49 +152,50 @@ struct LabelingPlan final : Plan {
   }
 };
 
-void encode_labeling_plan(const Plan& plan, ByteWriter& out) {
-  out.u8(kTagLabeling);
-  encode_labeling(static_cast<const LabelingPlan&>(plan).labeling, out);
-}
+/// Shared base of the schemes whose plan is one λ or λ_ack labeling: B,
+/// B_ack, common-round and multi.  It owns the plan's type and codec.
+class LabelingScheme : public Scheme {
+ public:
+  void encode_plan(const Plan& plan, ByteWriter& out) const override {
+    out.u8(kTagLabeling);
+    encode_labeling(labeling_of(plan), out);
+  }
+  PlanPtr decode_plan(ByteReader& in) const override {
+    if (in.u8() != kTagLabeling || !in.ok()) return nullptr;
+    auto plan = std::make_shared<LabelingPlan>();
+    if (!decode_labeling(in, plan->labeling)) return nullptr;
+    return plan;
+  }
 
-PlanPtr decode_labeling_plan(ByteReader& in) {
-  if (in.u8() != kTagLabeling || !in.ok()) return nullptr;
-  auto plan = std::make_shared<LabelingPlan>();
-  if (!decode_labeling(in, plan->labeling)) return nullptr;
-  return plan;
-}
+ protected:
+  static PlanPtr make_plan(core::Labeling labeling) {
+    auto plan = std::make_shared<LabelingPlan>();
+    plan->labeling = std::move(labeling);
+    return plan;
+  }
+  static const core::Labeling& labeling_of(const Plan& plan) {
+    return static_cast<const LabelingPlan&>(plan).labeling;
+  }
+};
 
 /// Algorithm B (Theorem 2.9): 2-bit labels, known source.
-class BScheme final : public Scheme {
+class BScheme final : public LabelingScheme {
  public:
   std::string_view name() const noexcept override { return "b"; }
   std::string_view description() const noexcept override {
     return "Algorithm B: 2-bit labels, broadcast from a known source "
            "(Theorem 2.9)";
   }
-  bool can_compile() const noexcept override { return true; }
-  bool can_store_plans() const noexcept override { return true; }
-
-  void encode_plan(const Plan& plan, ByteWriter& out) const override {
-    encode_labeling_plan(plan, out);
-  }
-  PlanPtr decode_plan(ByteReader& in) const override {
-    return decode_labeling_plan(in);
-  }
 
   PlanPtr label(const Graph& g, NodeId source,
                 const SchemeOptions& opt) const override {
-    auto plan = std::make_shared<LabelingPlan>();
-    plan->labeling =
-        core::label_broadcast(g, source, {opt.policy, opt.seed});
-    return plan;
+    return make_plan(core::label_broadcast(g, source, {opt.policy, opt.seed}));
   }
 
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
       const Graph&, NodeId, const Plan& plan,
       const SchemeOptions& opt) const override {
-    return core::make_broadcast_protocols(
-        static_cast<const LabelingPlan&>(plan).labeling, opt.mu);
+    return core::make_broadcast_protocols(labeling_of(plan), opt.mu);
   }
 
   std::uint64_t round_budget(const Graph& g, const Plan&,
@@ -204,7 +207,7 @@ class BScheme final : public Scheme {
                    const SchemeOptions&, SchemeResult& out) const override {
     if (g.node_count() != 1) return false;
     out.ok = out.all_informed = true;
-    out.ell = static_cast<const LabelingPlan&>(plan).labeling.stages.ell;
+    out.ell = labeling_of(plan).stages.ell;
     return true;
   }
 
@@ -214,7 +217,7 @@ class BScheme final : public Scheme {
     out.ok = out.all_informed;
     out.completion_round = e.last_first_data_reception();
     out.bound = theorem_bound(g.node_count());
-    out.ell = static_cast<const LabelingPlan&>(plan).labeling.stages.ell;
+    out.ell = labeling_of(plan).stages.ell;
     out.max_node_tx = e.max_tx_count();
     out.label_bits = 2;
     out.stay_count = e.transmissions_of(sim::MsgKind::kStay);
@@ -223,48 +226,34 @@ class BScheme final : public Scheme {
 
   std::string verify(const Graph& g, NodeId, const Plan& plan,
                      const sim::Trace& trace) const override {
-    return core::verify_lemma_2_8(
-        g, static_cast<const LabelingPlan&>(plan).labeling, trace);
+    return core::verify_lemma_2_8(g, labeling_of(plan), trace);
   }
 };
 
 /// Algorithm B_ack (Theorem 3.9): 3-bit labels, z-initiated ack chain.
-class AckScheme final : public Scheme {
+class AckScheme final : public LabelingScheme {
  public:
   std::string_view name() const noexcept override { return "ack"; }
   std::string_view description() const noexcept override {
     return "Algorithm B_ack: 3-bit labels, acknowledged broadcast "
            "(Theorem 3.9)";
   }
-  bool can_compile() const noexcept override { return true; }
-  bool can_store_plans() const noexcept override { return true; }
 
   /// One λ_ack construction serves B_ack, common-round, and multi.
   std::string_view plan_family() const noexcept override {
     return "lambda-ack";
   }
 
-  void encode_plan(const Plan& plan, ByteWriter& out) const override {
-    encode_labeling_plan(plan, out);
-  }
-  PlanPtr decode_plan(ByteReader& in) const override {
-    return decode_labeling_plan(in);
-  }
-
   PlanPtr label(const Graph& g, NodeId source,
                 const SchemeOptions& opt) const override {
-    auto plan = std::make_shared<LabelingPlan>();
-    plan->labeling =
-        core::label_acknowledged(g, source, {opt.policy, opt.seed});
-    return plan;
+    return make_plan(
+        core::label_acknowledged(g, source, {opt.policy, opt.seed}));
   }
 
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
       const Graph&, NodeId, const Plan& plan,
       const SchemeOptions& opt) const override {
-    return core::make_ack_protocols(
-        static_cast<const LabelingPlan&>(plan).labeling, opt.mu,
-        opt.resilient);
+    return core::make_ack_protocols(labeling_of(plan), opt.mu, opt.resilient);
   }
 
   std::uint64_t round_budget(const Graph& g, const Plan&,
@@ -282,7 +271,7 @@ class AckScheme final : public Scheme {
   bool run_trivial(const Graph& g, NodeId, const Plan& plan,
                    const SchemeOptions&, SchemeResult& out) const override {
     if (g.node_count() != 1) return false;
-    const auto& labeling = static_cast<const LabelingPlan&>(plan).labeling;
+    const auto& labeling = labeling_of(plan);
     out.ok = out.all_informed = true;
     out.ell = labeling.stages.ell;
     out.special = labeling.z;
@@ -292,7 +281,7 @@ class AckScheme final : public Scheme {
   void collect(const sim::Engine& e, const Graph& g, NodeId source,
                const Plan& plan, const SchemeOptions&,
                const ExecutionConfig&, SchemeResult& out) const override {
-    const auto& labeling = static_cast<const LabelingPlan&>(plan).labeling;
+    const auto& labeling = labeling_of(plan);
     out.completion_round = e.last_first_data_reception();
     out.ack_round = dynamic_cast<const core::AckBroadcastProtocol&>(
                         e.protocol(source))
@@ -312,40 +301,29 @@ class AckScheme final : public Scheme {
 };
 
 /// §3 closing construction: all nodes agree on the common round 2m.
-class CommonRoundScheme final : public Scheme {
+class CommonRoundScheme final : public LabelingScheme {
  public:
   std::string_view name() const noexcept override { return "common-round"; }
   std::string_view description() const noexcept override {
     return "Common-completion-round construction on top of B_ack (paper §3)";
   }
-  bool can_store_plans() const noexcept override { return true; }
 
   std::string_view plan_family() const noexcept override {
     return "lambda-ack";
-  }
-
-  void encode_plan(const Plan& plan, ByteWriter& out) const override {
-    encode_labeling_plan(plan, out);
-  }
-  PlanPtr decode_plan(ByteReader& in) const override {
-    return decode_labeling_plan(in);
   }
 
   PlanPtr label(const Graph& g, NodeId source,
                 const SchemeOptions& opt) const override {
     RC_EXPECTS_MSG(g.node_count() >= 2,
                    "common-round needs at least two nodes");
-    auto plan = std::make_shared<LabelingPlan>();
-    plan->labeling =
-        core::label_acknowledged(g, source, {opt.policy, opt.seed});
-    return plan;
+    return make_plan(
+        core::label_acknowledged(g, source, {opt.policy, opt.seed}));
   }
 
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
       const Graph&, NodeId, const Plan& plan,
       const SchemeOptions& opt) const override {
-    return core::make_common_round_protocols(
-        static_cast<const LabelingPlan&>(plan).labeling, opt.mu);
+    return core::make_common_round_protocols(labeling_of(plan), opt.mu);
   }
 
   std::uint64_t round_budget(const Graph& g, const Plan&,
@@ -392,11 +370,7 @@ struct ArbPlan final : Plan {
   core::ArbLabeling labeling;
 
   std::size_t footprint() const noexcept override {
-    return sizeof(*this) + labeling.labels.size() * sizeof(core::Label) +
-           node_sets_bytes(labeling.stages.dom) +
-           node_sets_bytes(labeling.stages.fresh) +
-           node_sets_bytes(labeling.stages.frontier) +
-           labeling.stages.stage_of.size() * sizeof(std::uint32_t);
+    return sizeof(*this) + labeling_bytes(labeling);
   }
 };
 
@@ -407,8 +381,6 @@ class ArbScheme final : public Scheme {
     return "Algorithm B_arb: 3-bit labels, source unknown at labeling time "
            "(paper §4)";
   }
-  bool can_compile() const noexcept override { return true; }
-  bool can_store_plans() const noexcept override { return true; }
 
   void encode_plan(const Plan& plan, ByteWriter& out) const override {
     const auto& p = static_cast<const ArbPlan&>(plan);
@@ -510,39 +482,29 @@ class ArbScheme final : public Scheme {
 // Multi-message acknowledged sessions (§1.2)
 // ---------------------------------------------------------------------------
 
-class MultiScheme final : public Scheme {
+class MultiScheme final : public LabelingScheme {
  public:
   std::string_view name() const noexcept override { return "multi"; }
   std::string_view description() const noexcept override {
     return "Consecutive acknowledged broadcasts over one λ_ack labeling "
            "(paper §1.2)";
   }
-  bool can_store_plans() const noexcept override { return true; }
 
   std::string_view plan_family() const noexcept override {
     return "lambda-ack";
   }
 
-  void encode_plan(const Plan& plan, ByteWriter& out) const override {
-    encode_labeling_plan(plan, out);
-  }
-  PlanPtr decode_plan(ByteReader& in) const override {
-    return decode_labeling_plan(in);
-  }
-
   PlanPtr label(const Graph& g, NodeId source,
                 const SchemeOptions& opt) const override {
     RC_EXPECTS(g.node_count() >= 2);
-    auto plan = std::make_shared<LabelingPlan>();
-    plan->labeling =
-        core::label_acknowledged(g, source, {opt.policy, opt.seed});
-    return plan;
+    return make_plan(
+        core::label_acknowledged(g, source, {opt.policy, opt.seed}));
   }
 
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
       const Graph& g, NodeId source, const Plan& plan,
       const SchemeOptions& opt) const override {
-    const auto& labeling = static_cast<const LabelingPlan&>(plan).labeling;
+    const auto& labeling = labeling_of(plan);
     const auto payloads = multi_schedule(opt);
     std::vector<std::unique_ptr<sim::Protocol>> out;
     out.reserve(g.node_count());
@@ -620,8 +582,6 @@ std::uint32_t count_ones(const std::vector<bool>& bits) {
 /// Shared base: the randomized one-bit labeling search as the plan.
 class OneBitSchemeBase : public Scheme {
  public:
-  bool can_store_plans() const noexcept override { return true; }
-
   void encode_plan(const Plan& plan, ByteWriter& out) const override {
     const auto& p = static_cast<const OneBitPlan&>(plan);
     out.u8(kTagOneBit);
@@ -798,12 +758,25 @@ class OneBitAckScheme final : public OneBitSchemeBase {
 
 struct EmptyPlan final : Plan {};
 
-void encode_empty_plan(const Plan&, ByteWriter& out) { out.u8(kTagEmpty); }
-
-PlanPtr decode_empty_plan(ByteReader& in) {
-  if (in.u8() != kTagEmpty || !in.ok()) return nullptr;
-  return std::make_shared<EmptyPlan>();
-}
+/// Shared base of the label-free baselines (round-robin, decay, beep): one
+/// empty plan per graph, whatever the source or options (decay's seed
+/// parameterizes its protocols, not a plan).
+class LabelFreeScheme : public Scheme {
+ public:
+  std::string plan_key(NodeId, const SchemeOptions&) const override {
+    return {};
+  }
+  void encode_plan(const Plan&, ByteWriter& out) const override {
+    out.u8(kTagEmpty);
+  }
+  PlanPtr decode_plan(ByteReader& in) const override {
+    if (in.u8() != kTagEmpty || !in.ok()) return nullptr;
+    return std::make_shared<EmptyPlan>();
+  }
+  PlanPtr label(const Graph&, NodeId, const SchemeOptions&) const override {
+    return std::make_shared<EmptyPlan>();
+  }
+};
 
 struct ColoringPlan final : Plan {
   graph::Coloring coloring;
@@ -813,28 +786,13 @@ struct ColoringPlan final : Plan {
   }
 };
 
-class RoundRobinScheme final : public Scheme {
+class RoundRobinScheme final : public LabelFreeScheme {
  public:
   std::string_view name() const noexcept override { return "round-robin"; }
   std::string_view description() const noexcept override {
     return "Round-robin over unique ids: Θ(log n)-bit labels, "
            "collision-free (paper §1)";
   }
-  std::string plan_key(NodeId, const SchemeOptions&) const override {
-    return {};  // label-free: one plan per graph
-  }
-  bool can_store_plans() const noexcept override { return true; }
-  void encode_plan(const Plan& plan, ByteWriter& out) const override {
-    encode_empty_plan(plan, out);
-  }
-  PlanPtr decode_plan(ByteReader& in) const override {
-    return decode_empty_plan(in);
-  }
-
-  PlanPtr label(const Graph&, NodeId, const SchemeOptions&) const override {
-    return std::make_shared<EmptyPlan>();
-  }
-
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
       const Graph& g, NodeId source, const Plan&,
       const SchemeOptions& opt) const override {
@@ -873,7 +831,6 @@ class ColorRobinScheme final : public Scheme {
   std::string plan_key(NodeId, const SchemeOptions&) const override {
     return {};  // the coloring only depends on the graph
   }
-  bool can_store_plans() const noexcept override { return true; }
   void encode_plan(const Plan& plan, ByteWriter& out) const override {
     const auto& p = static_cast<const ColoringPlan&>(plan);
     out.u8(kTagColoring);
@@ -930,28 +887,13 @@ class ColorRobinScheme final : public Scheme {
   }
 };
 
-class DecayScheme final : public Scheme {
+class DecayScheme final : public LabelFreeScheme {
  public:
   std::string_view name() const noexcept override { return "decay"; }
   std::string_view description() const noexcept override {
     return "BGI Decay: randomized label-free baseline that knows n "
            "(paper §1)";
   }
-  std::string plan_key(NodeId, const SchemeOptions&) const override {
-    return {};  // label-free; the seed parameterizes protocols, not a plan
-  }
-  bool can_store_plans() const noexcept override { return true; }
-  void encode_plan(const Plan& plan, ByteWriter& out) const override {
-    encode_empty_plan(plan, out);
-  }
-  PlanPtr decode_plan(ByteReader& in) const override {
-    return decode_empty_plan(in);
-  }
-
-  PlanPtr label(const Graph&, NodeId, const SchemeOptions&) const override {
-    return std::make_shared<EmptyPlan>();
-  }
-
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
       const Graph& g, NodeId source, const Plan&,
       const SchemeOptions& opt) const override {
@@ -980,7 +922,7 @@ class DecayScheme final : public Scheme {
   }
 };
 
-class BeepScheme final : public Scheme {
+class BeepScheme final : public LabelFreeScheme {
  public:
   std::string_view name() const noexcept override { return "beep"; }
   std::string_view description() const noexcept override {
@@ -988,21 +930,6 @@ class BeepScheme final : public Scheme {
            "(paper §1.1)";
   }
   bool needs_collision_detection() const noexcept override { return true; }
-  std::string plan_key(NodeId, const SchemeOptions&) const override {
-    return {};  // anonymous: no labeling at all
-  }
-  bool can_store_plans() const noexcept override { return true; }
-  void encode_plan(const Plan& plan, ByteWriter& out) const override {
-    encode_empty_plan(plan, out);
-  }
-  PlanPtr decode_plan(ByteReader& in) const override {
-    return decode_empty_plan(in);
-  }
-
-  PlanPtr label(const Graph&, NodeId, const SchemeOptions&) const override {
-    return std::make_shared<EmptyPlan>();
-  }
-
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
       const Graph& g, NodeId source, const Plan&,
       const SchemeOptions& opt) const override {

@@ -1,6 +1,8 @@
 #include "runtime/sweep.hpp"
 
 #include <chrono>
+#include <memory>
+#include <string_view>
 #include <utility>
 
 #include "graph/generators.hpp"
@@ -11,105 +13,72 @@ namespace radiocast::runtime {
 
 namespace {
 
-/// Tags that merge both entry kinds into one recency order.
-constexpr char kPlanTag = 'P';
-constexpr char kCompiledTag = 'C';
+/// The one-character prefix that puts an entry's kind into its map key.
+char tag(PlanStoreKind kind) {
+  return kind == PlanStoreKind::kPlan ? 'P' : 'C';
+}
 
-std::string tagged(char tag, const std::string& key) {
-  std::string out(1, tag);
+std::string tagged(PlanStoreKind kind, const std::string& key) {
+  std::string out(1, tag(kind));
   out += key;
   return out;
 }
 
+std::uint64_t& counter(PlanCacheStats& stats, PlanStoreKind kind,
+                       CacheEvent event) {
+  const bool plan = kind == PlanStoreKind::kPlan;
+  if (event == CacheEvent::kHit) {
+    return plan ? stats.plan_hits : stats.compiled_hits;
+  }
+  if (event == CacheEvent::kMiss) {
+    return plan ? stats.plan_misses : stats.compiled_misses;
+  }
+  return plan ? stats.plan_store_hits : stats.compiled_store_hits;
+}
+
 }  // namespace
 
-PlanPtr PlanCache::find_plan(const std::string& key) {
+PlanPtr PlanCache::find(PlanStoreKind kind, const std::string& key) {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = plans_.find(key);
-  if (it == plans_.end()) return nullptr;
-  touch(it->second.lru);
+  const auto it = entries_.find(tagged(kind, key));
+  if (it == entries_.end()) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second.lru);
   return it->second.value;
 }
 
-void PlanCache::put_plan(const std::string& key, PlanPtr plan) {
+void PlanCache::put(PlanStoreKind kind, const std::string& key,
+                    PlanPtr plan) {
   RC_EXPECTS(plan != nullptr);
+  std::string tagged_key = tagged(kind, key);
   const std::lock_guard<std::mutex> lock(mu_);
-  if (plans_.count(key) != 0) return;  // first writer wins, like emplace
-  Entry<PlanPtr> entry;
+  if (entries_.count(tagged_key) != 0) return;
+  Entry entry;
   entry.footprint = plan->footprint();
   entry.value = std::move(plan);
-  lru_.push_front(tagged(kPlanTag, key));
+  lru_.push_front(tagged_key);
   entry.lru = lru_.begin();
   bytes_ += entry.footprint;
-  plans_.emplace(key, std::move(entry));
+  entries_.emplace(std::move(tagged_key), std::move(entry));
   evict_over_budget(lru_.front());
 }
 
-CompiledPlanPtr PlanCache::find_compiled(const std::string& key) {
+void PlanCache::count(PlanStoreKind kind, CacheEvent event) {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = compiled_.find(key);
-  if (it == compiled_.end()) return nullptr;
-  touch(it->second.lru);
-  return it->second.value;
-}
-
-void PlanCache::put_compiled(const std::string& key, CompiledPlanPtr plan) {
-  RC_EXPECTS(plan != nullptr);
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (compiled_.count(key) != 0) return;
-  Entry<CompiledPlanPtr> entry;
-  entry.footprint = plan->footprint();
-  entry.value = std::move(plan);
-  lru_.push_front(tagged(kCompiledTag, key));
-  entry.lru = lru_.begin();
-  bytes_ += entry.footprint;
-  compiled_.emplace(key, std::move(entry));
-  evict_over_budget(lru_.front());
-}
-
-void PlanCache::touch(std::list<std::string>::iterator it) {
-  lru_.splice(lru_.begin(), lru_, it);
+  ++counter(stats_, kind, event);
 }
 
 void PlanCache::evict_over_budget(const std::string& keep) {
   if (budget_ == 0) return;
   while (bytes_ > budget_ && lru_.size() > 1) {
-    const std::string victim = lru_.back();
+    const std::string& victim = lru_.back();
     if (victim == keep) break;  // never evict the entry being inserted
+    const auto it = entries_.find(victim);
+    bytes_ -= it->second.footprint;
+    ++(victim[0] == tag(PlanStoreKind::kPlan) ? stats_.plan_evictions
+                                              : stats_.compiled_evictions);
+    entries_.erase(it);
     lru_.pop_back();
-    const std::string key = victim.substr(1);
-    if (victim[0] == kPlanTag) {
-      const auto it = plans_.find(key);
-      bytes_ -= it->second.footprint;
-      plans_.erase(it);
-      ++stats_.plan_evictions;
-    } else {
-      const auto it = compiled_.find(key);
-      bytes_ -= it->second.footprint;
-      compiled_.erase(it);
-      ++stats_.compiled_evictions;
-    }
   }
-}
-
-void PlanCache::count_plan_lookup(bool hit) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  (hit ? stats_.plan_hits : stats_.plan_misses) += 1;
-}
-
-void PlanCache::count_compiled_lookup(bool hit) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  (hit ? stats_.compiled_hits : stats_.compiled_misses) += 1;
-}
-
-void PlanCache::count_plan_store_hit() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.plan_store_hits;
-}
-
-void PlanCache::count_compiled_store_hit() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.compiled_store_hits;
 }
 
 void PlanCache::set_byte_budget(std::size_t bytes) {
@@ -133,20 +102,17 @@ PlanCacheStats PlanCache::stats() const {
   return stats_;
 }
 
-std::size_t PlanCache::plan_count() const {
+std::size_t PlanCache::size(PlanStoreKind kind) const {
+  const char want = tag(kind);
   const std::lock_guard<std::mutex> lock(mu_);
-  return plans_.size();
-}
-
-std::size_t PlanCache::compiled_count() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return compiled_.size();
+  std::size_t out = 0;
+  for (const auto& [key, entry] : entries_) out += key[0] == want ? 1 : 0;
+  return out;
 }
 
 void PlanCache::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
-  plans_.clear();
-  compiled_.clear();
+  entries_.clear();
   lru_.clear();
   bytes_ = 0;
   stats_ = {};
@@ -279,14 +245,20 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
   // first, so a cold submission pays for its slowest graph rather than the
   // sum of them.  Plans are keyed by the scheme's *plan family*, so schemes
   // that compute the same labeling (ack / common-round / multi all build
-  // λ_ack) share one cache and store entry.
+  // λ_ack) share one cache and store entry; the store files records under
+  // the scheme name instead.
+  constexpr std::size_t kNoOwner = static_cast<std::size_t>(-1);
+  struct Artifact {
+    std::string key;               ///< cache key; empty = the spec has none
+    std::string_view family;       ///< the store's family for the key
+    PlanPtr value;                 ///< set once loaded or built
+    std::size_t owner = kNoOwner;  ///< spec that builds it on a miss
+  };
   struct Resolved {
     const Scheme* scheme = nullptr;
     const graph::Graph* graph = nullptr;
-    std::string plan_key;
-    std::string compiled_key;  ///< recorded result key; empty = engine
-    PlanPtr plan;
-    CompiledPlanPtr compiled;
+    Artifact plan;    ///< PlanStoreKind::kPlan
+    Artifact record;  ///< PlanStoreKind::kCompiled
   };
   auto& registry = SchemeRegistry::instance();
   MaterializedMap fresh = materialize_unknown(specs);
@@ -308,144 +280,127 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
     plan_key += r.scheme->plan_family();
     plan_key += "|";
     plan_key += r.scheme->plan_key(spec.source, spec.options);
-    r.compiled_key = recorded_result_key(*r.scheme, plan_key, spec.source,
-                                         spec.options, spec.config)
-                         .value_or(std::string());
-    r.plan_key = std::move(plan_key);
+    r.record.key = recorded_result_key(*r.scheme, plan_key, spec.source,
+                                       spec.options, spec.config)
+                       .value_or(std::string());
+    r.record.family = r.scheme->name();
+    r.plan.key = std::move(plan_key);
+    r.plan.family = r.scheme->plan_family();
   }
 
-  // Phase 1: load or compute every missing labeling exactly once.  Misses
-  // are deduplicated by key (first spec wins the computation slot); the
-  // parallel loop only touches distinct keys, so "exactly once per cache
-  // key" holds structurally rather than by locking.  With a store attached,
-  // a key found on disk is decoded instead of computed (a store hit, not a
-  // miss), and computed plans are written through.
-  std::vector<std::size_t> plan_work;  // spec index owning a distinct key
-  {
-    std::unordered_map<std::string, std::size_t> first_owner;
+  // Loads each spec's artifact of one kind from the cache, else from the
+  // store (a store hit, not a miss).  Misses are deduplicated by key: the
+  // first spec to miss owns the build and the rest take its pointer once
+  // built, so "exactly once per cache key" holds structurally rather than
+  // by locking.  Returns the owners.
+  const auto load = [&](PlanStoreKind kind, Artifact Resolved::*which) {
+    std::vector<std::size_t> owners;
+    std::unordered_map<std::string_view, std::size_t> first_owner;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      Resolved& r = resolved[i];
-      r.plan = cache_.find_plan(r.plan_key);
-      if (r.plan != nullptr) {
-        cache_.count_plan_lookup(true);
-        continue;
-      }
-      if (store_ != nullptr && r.scheme->can_store_plans()) {
-        const auto bytes = store_->get(PlanStoreKind::kPlan, r.plan_key,
-                                       r.scheme->plan_family());
-        if (bytes) {
-          support::ByteReader reader(*bytes);
-          r.plan = r.scheme->decode_plan(reader);
-        }
-        if (r.plan != nullptr) {
-          cache_.put_plan(r.plan_key, r.plan);
-          cache_.count_plan_store_hit();
-          continue;
-        }
-      }
-      const auto [it, inserted] = first_owner.emplace(r.plan_key, i);
-      if (inserted) {
-        cache_.count_plan_lookup(false);
-        plan_work.push_back(i);
-      } else {
-        cache_.count_plan_lookup(true);  // served by this batch's computation
-      }
-    }
-  }
-  par::parallel_map(pool_, plan_work.size(), [&](std::size_t w) {
-    const std::size_t i = plan_work[w];
-    const ExperimentSpec& spec = *specs[i];
-    Resolved& r = resolved[i];
-    r.plan = r.scheme->label(*r.graph, spec.source, spec.options);
-    cache_.put_plan(r.plan_key, r.plan);
-    if (store_ != nullptr && r.scheme->can_store_plans()) {
-      support::ByteWriter writer;
-      r.scheme->encode_plan(*r.plan, writer);
-      store_->put(PlanStoreKind::kPlan, r.plan_key, r.scheme->plan_family(),
-                  writer.bytes());
-    }
-    return 0;
-  });
-  for (Resolved& r : resolved) {
-    if (r.plan == nullptr) r.plan = cache_.find_plan(r.plan_key);
-  }
-
-  // Phase 2: load or record every missing result exactly once.  The store
-  // files records under the scheme name rather than the plan family.
-  std::vector<std::size_t> compile_work;
-  {
-    std::unordered_map<std::string, std::size_t> first_owner;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      Resolved& r = resolved[i];
-      if (r.compiled_key.empty()) continue;
-      r.compiled = cache_.find_compiled(r.compiled_key);
-      if (r.compiled != nullptr) {
-        cache_.count_compiled_lookup(true);
+      const Scheme& scheme = *resolved[i].scheme;
+      Artifact& a = resolved[i].*which;
+      if (a.key.empty()) continue;
+      a.value = cache_.find(kind, a.key);
+      if (a.value != nullptr) {
+        cache_.count(kind, CacheEvent::kHit);
         continue;
       }
       if (store_ != nullptr) {
-        const auto bytes = store_->get(PlanStoreKind::kCompiled,
-                                       r.compiled_key, specs[i]->scheme);
-        if (bytes) {
+        if (const auto bytes = store_->get(kind, a.key, a.family)) {
           support::ByteReader reader(*bytes);
-          r.compiled = r.scheme->decode_compiled(reader);
+          a.value = kind == PlanStoreKind::kPlan
+                        ? scheme.decode_plan(reader)
+                        : scheme.decode_compiled(reader);
         }
-        if (r.compiled != nullptr) {
-          cache_.put_compiled(r.compiled_key, r.compiled);
-          cache_.count_compiled_store_hit();
+        if (a.value != nullptr) {
+          cache_.put(kind, a.key, a.value);
+          cache_.count(kind, CacheEvent::kStoreHit);
           continue;
         }
       }
-      const auto [it, inserted] = first_owner.emplace(r.compiled_key, i);
-      if (inserted) {
-        cache_.count_compiled_lookup(false);
-        compile_work.push_back(i);
-      } else {
-        cache_.count_compiled_lookup(true);
-      }
+      a.owner = first_owner.emplace(a.key, i).first->second;
+      if (a.owner == i) owners.push_back(i);
+      cache_.count(kind, a.owner == i ? CacheEvent::kMiss : CacheEvent::kHit);
     }
-  }
-  par::parallel_map(pool_, compile_work.size(), [&](std::size_t w) {
-    const std::size_t i = compile_work[w];
-    const ExperimentSpec& spec = *specs[i];
-    Resolved& r = resolved[i];
-    r.compiled = r.scheme->compile(*r.graph, spec.source, r.plan,
-                                   spec.options, spec.config);
-    cache_.put_compiled(r.compiled_key, r.compiled);
-    if (store_ != nullptr) {
-      support::ByteWriter writer;
-      r.scheme->encode_compiled(*r.compiled, writer);
-      store_->put(PlanStoreKind::kCompiled, r.compiled_key, spec.scheme,
-                  writer.bytes());
+    return owners;
+  };
+  // Caches a built artifact and writes it through to the store.
+  const auto keep = [&](PlanStoreKind kind, const Scheme& scheme,
+                        const Artifact& a) {
+    cache_.put(kind, a.key, a.value);
+    if (store_ == nullptr) return;
+    support::ByteWriter writer;
+    if (kind == PlanStoreKind::kPlan) {
+      scheme.encode_plan(*a.value, writer);
+    } else {
+      scheme.encode_compiled(static_cast<const CompiledPlan&>(*a.value),
+                             writer);
     }
-    return 0;
+    store_->put(kind, a.key, a.family, writer.bytes());
+  };
+
+  // Labelings: every missing one is computed once, in parallel over
+  // distinct keys.
+  const std::vector<std::size_t> label_owners =
+      load(PlanStoreKind::kPlan, &Resolved::plan);
+  par::parallel_for(pool_, label_owners.size(), [&](std::size_t w) {
+    const ExperimentSpec& spec = *specs[label_owners[w]];
+    Resolved& r = resolved[label_owners[w]];
+    r.plan.value = r.scheme->label(*r.graph, spec.source, spec.options);
+    keep(PlanStoreKind::kPlan, *r.scheme, r.plan);
   });
   for (Resolved& r : resolved) {
-    if (!r.compiled_key.empty() && r.compiled == nullptr) {
-      r.compiled = cache_.find_compiled(r.compiled_key);
+    if (r.plan.value == nullptr) {
+      r.plan.value = resolved[r.plan.owner].plan.value;
     }
   }
 
-  // Phase 3: execute all specs against the shared read-only plans; results
-  // land in spec order (parallel_map writes indexed slots).  Each spec's
-  // execution wall time is recorded for the serve layer's binary result
-  // encoding; timing covers execution only, not the shared plan phases.
+  // Execution: one parallel pass over every spec, results in spec order
+  // (parallel_map writes indexed slots).  A loaded record is copied; the
+  // owner of a missing record runs the engine and files its result, which
+  // its duplicates copy after the pass.  Each spec's execution wall time
+  // is recorded for the serve layer's binary result encoding; it covers
+  // execution only, not labeling or store writes.
+  load(PlanStoreKind::kCompiled, &Resolved::record);
   wall_ns.assign(specs.size(), 0);
-  return par::parallel_map(pool_, specs.size(), [&](std::size_t i) {
-    const ExperimentSpec& spec = *specs[i];
-    const Resolved& r = resolved[i];
+  const auto timed = [&](std::size_t i, auto&& run) {
     const auto start = std::chrono::steady_clock::now();
-    SchemeResult result =
-        r.compiled != nullptr
-            ? r.scheme->replay(*r.graph, spec.source, *r.compiled, spec.config)
-            : run_with_plan(*r.scheme, *r.graph, spec.source, r.plan,
-                            spec.options, spec.config);
+    SchemeResult result = run();
     wall_ns[i] = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
             .count());
     return result;
-  });
+  };
+  std::vector<SchemeResult> results =
+      par::parallel_map(pool_, specs.size(), [&](std::size_t i) {
+        const ExperimentSpec& spec = *specs[i];
+        Resolved& r = resolved[i];
+        if (r.record.owner != kNoOwner && r.record.owner != i) {
+          return SchemeResult{};  // a duplicate: copied below
+        }
+        SchemeResult result = timed(i, [&] {
+          if (r.record.value != nullptr) {
+            return static_cast<const CompiledPlan&>(*r.record.value).result;
+          }
+          return run_with_plan(*r.scheme, *r.graph, spec.source, r.plan.value,
+                               spec.options, spec.config);
+        });
+        if (r.record.owner == i) {
+          auto record = std::make_shared<CompiledPlan>();
+          record->result = result;
+          r.record.value = std::move(record);
+          keep(PlanStoreKind::kCompiled, *r.scheme, r.record);
+        }
+        return result;
+      });
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::size_t owner = resolved[i].record.owner;
+    if (owner != kNoOwner && owner != i) {
+      results[i] = timed(i, [&] { return results[owner]; });
+    }
+  }
+  return results;
 }
 
 }  // namespace radiocast::runtime

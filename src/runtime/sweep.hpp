@@ -10,8 +10,12 @@
 /// `config.compiled`, results are recorded exactly once per
 /// `recorded_result_key`, then shared read-only across the batch and
 /// across subsequent batches (the warm-cache regime the sweep_throughput
-/// bench gates).  Results always arrive in spec order, so batch output is
-/// byte-identical at any thread count.
+/// bench gates).  Both artifacts travel one path: looked up in the cache,
+/// then the store, built once by the first spec that misses (a labeling
+/// in the labeling pass, a record by its owner's run in the execution
+/// pass), and taken by same-key duplicates from that owner.  Results
+/// always arrive in spec order, so batch output is byte-identical at any
+/// thread count.
 ///
 /// Specs address graphs by value, not by process-local index: a `GraphRef`
 /// carries the canonical content hash (graph/hash.hpp) plus an optional
@@ -79,24 +83,26 @@ struct PlanCacheStats {
   std::uint64_t compiled_evictions = 0;
 };
 
+/// What the sweep saw when it looked a cache key up (see PlanCacheStats).
+enum class CacheEvent : std::uint8_t { kHit, kMiss, kStoreHit };
+
 /// Keyed store of shared read-only plans with an optional byte budget.
-/// The SweepRunner computes missing entries in a dedicated batch phase, so
-/// no locking happens on the execution hot path; the mutex only guards the
-/// map itself.  With a non-zero budget, inserting past it evicts the
-/// least-recently-used entries (plans and recorded results share one budget
-/// and one recency order); the newest entry is never evicted, so a single
-/// oversized plan still caches.
+/// Labelings and recorded results (`CompiledPlan`, itself a Plan) are one
+/// entry type in one map, told apart by the `PlanStoreKind` in the key, so
+/// they share one byte budget and one recency order.  The SweepRunner
+/// builds missing entries in its own batch passes, so no locking happens on
+/// the execution hot path; the mutex only guards the map itself.  With a
+/// non-zero budget, inserting past it evicts the least-recently-used
+/// entries; the newest entry is never evicted, so a single oversized plan
+/// still caches.  An evicted entry stays alive for whoever holds its
+/// pointer.
 class PlanCache {
  public:
-  PlanPtr find_plan(const std::string& key);
-  void put_plan(const std::string& key, PlanPtr plan);
-  CompiledPlanPtr find_compiled(const std::string& key);
-  void put_compiled(const std::string& key, CompiledPlanPtr plan);
-
-  void count_plan_lookup(bool hit);
-  void count_compiled_lookup(bool hit);
-  void count_plan_store_hit();
-  void count_compiled_store_hit();
+  PlanPtr find(PlanStoreKind kind, const std::string& key);
+  /// Inserts unless the key is resident (the first writer wins).
+  void put(PlanStoreKind kind, const std::string& key, PlanPtr plan);
+  /// Adds one lookup outcome to the `kind`'s counters.
+  void count(PlanStoreKind kind, CacheEvent event);
 
   /// Sets the byte budget (0 = unlimited) and evicts down to it.
   void set_byte_budget(std::size_t bytes);
@@ -105,27 +111,25 @@ class PlanCache {
   std::size_t bytes() const;
 
   PlanCacheStats stats() const;
-  std::size_t plan_count() const;
-  std::size_t compiled_count() const;
+  /// Resident entries of one kind.
+  std::size_t size(PlanStoreKind kind) const;
   void clear();
 
  private:
   /// One resident entry: the payload, its byte charge, and its position in
-  /// the shared recency list (front = most recently used).
-  template <typename Ptr>
+  /// the recency list (front = most recently used).
   struct Entry {
-    Ptr value;
+    PlanPtr value;
     std::size_t footprint = 0;
-    std::list<std::string>::iterator lru;  ///< into lru_ ("P|" / "C|" key)
+    std::list<std::string>::iterator lru;  ///< into lru_
   };
 
-  void touch(std::list<std::string>::iterator it);
   void evict_over_budget(const std::string& keep);
 
   mutable std::mutex mu_;
-  std::unordered_map<std::string, Entry<PlanPtr>> plans_;
-  std::unordered_map<std::string, Entry<CompiledPlanPtr>> compiled_;
-  std::list<std::string> lru_;  ///< tagged keys, most recent first
+  /// Keyed by the kind's tag character followed by the cache key.
+  std::unordered_map<std::string, Entry> entries_;
+  std::list<std::string> lru_;  ///< entries_ keys, most recent first
   std::size_t bytes_ = 0;
   std::size_t budget_ = 0;
   PlanCacheStats stats_;
@@ -182,11 +186,11 @@ class SweepRunner {
   PlanStore* store() const noexcept { return store_; }
 
   /// Runs the batch: resolves schemes and graphs, loads or computes every
-  /// missing plan and recorded result exactly once (in parallel over
-  /// distinct cache keys), then executes all specs in parallel.  Results
-  /// are returned in spec order; for a fixed batch they are identical on
-  /// any thread count.  Every spec's scheme name must be registered and its
-  /// graph ref resolvable.
+  /// missing plan exactly once (in parallel over distinct cache keys), then
+  /// executes all specs in parallel, recording each missing result once.
+  /// Results are returned in spec order; for a fixed batch they are
+  /// identical on any thread count.  Every spec's scheme name must be
+  /// registered and its graph ref resolvable.
   std::vector<SchemeResult> run(const std::vector<ExperimentSpec>& specs);
 
   /// Runs several independently-owned batches as ONE sweep: the specs are
@@ -198,8 +202,8 @@ class SweepRunner {
   /// Results come back sliced per input batch, each slice in its batch's own
   /// spec order and byte-identical to what `run` would have returned for
   /// that batch alone (pinned by the serve differentials).  `spec_wall_ns`
-  /// records each spec's execution wall time (phase 3 only; plan
-  /// construction is shared and not attributed).
+  /// records each spec's execution wall time (a record owner's engine run
+  /// included; labeling is shared and not attributed).
   std::vector<BatchResults> run_merged(
       const std::vector<const std::vector<ExperimentSpec>*>& batches);
 

@@ -9,8 +9,9 @@
 //    still checked the engine trace for trace;
 //  - recorded results: a compiled spec reports the engine's own result;
 //  - SweepRunner determinism (byte-identical batch output at 1, 2, and 8
-//    worker threads) and PlanCache hit/miss accounting (labelings computed
-//    exactly once per cache key);
+//    worker threads, also when a byte budget evicts an owner's plan or
+//    record before its same-key duplicates run) and PlanCache hit/miss
+//    accounting (labelings computed exactly once per cache key);
 //  - the activity contract: multi-message, round-robin, color-robin,
 //    decay, and beep hint, so the active set polls strictly less than the
 //    scan while staying bit-exact; every scheme the engine benchmark runs
@@ -157,7 +158,6 @@ TEST(SchemeDifferential, CompiledReplayMatchesEngineTrace) {
   for (const char* name : {"b", "ack", "arb"}) {
     const auto* scheme = SchemeRegistry::instance().find(name);
     ASSERT_NE(scheme, nullptr);
-    ASSERT_TRUE(scheme->can_compile());
     for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
       const Graph& g = graphs[gi];
       const std::string context =
@@ -555,7 +555,7 @@ TEST(SweepRunner, PlanCacheComputesEachKeyOnceAndCountsHits) {
   auto stats = runner.cache_stats();
   EXPECT_EQ(stats.plan_misses, 3u);
   EXPECT_EQ(stats.plan_hits, 3u);
-  EXPECT_EQ(runner.cache().plan_count(), 3u);
+  EXPECT_EQ(runner.cache().size(runtime::PlanStoreKind::kPlan), 3u);
   for (const auto& r : first) EXPECT_TRUE(r.ok);
 
   // Identical batch again: every lookup is a warm hit.
@@ -589,7 +589,7 @@ TEST(SweepRunner, PlanCacheComputesEachKeyOnceAndCountsHits) {
             first[0].completion_round);
 
   runner.clear_cache();
-  EXPECT_EQ(runner.cache().plan_count(), 0u);
+  EXPECT_EQ(runner.cache().size(runtime::PlanStoreKind::kPlan), 0u);
   EXPECT_EQ(runner.cache_stats().plan_hits, 0u);
 }
 
@@ -644,7 +644,7 @@ TEST(SweepRunner, LambdaAckFamilySharesOneLabelingAcrossSchemes) {
   const auto stats = runner.cache_stats();
   EXPECT_EQ(stats.plan_misses, 1u);
   EXPECT_EQ(stats.plan_hits, 2u);
-  EXPECT_EQ(runner.cache().plan_count(), 1u);
+  EXPECT_EQ(runner.cache().size(runtime::PlanStoreKind::kPlan), 1u);
 
   // B's λ is a different construction and must NOT share the family.
   ExperimentSpec b;
@@ -653,6 +653,44 @@ TEST(SweepRunner, LambdaAckFamilySharesOneLabelingAcrossSchemes) {
   b.source = 0;
   runner.run({b});
   EXPECT_EQ(runner.cache_stats().plan_misses, 2u);
+}
+
+// A same-key duplicate takes its owner's plan and record, never a second
+// cache lookup: under a 1-byte budget a sibling's insert evicts the
+// owner's entry before the duplicate runs, at any pool width.
+TEST(SweepRunner, DuplicatesSurviveMidBatchEviction) {
+  const Graph g = graph::from_descriptor("path:40");
+  // arb@0 and arb@3 share one B_arb labeling; b's insert evicts it.
+  const std::pair<const char*, graph::NodeId> kSpecs[] = {
+      {"arb", 0}, {"arb", 3}, {"b", 0}, {"arb", 0}};
+  std::vector<std::vector<ExperimentSpec>> batches(2);
+  for (const bool compiled : {false, true}) {
+    for (const auto& [scheme, source] : kSpecs) {
+      ExperimentSpec spec;
+      spec.scheme = scheme;
+      spec.graph.generator = "path:40";
+      spec.source = source;
+      spec.config.compiled = compiled;
+      batches[compiled].push_back(std::move(spec));
+    }
+  }
+  for (const std::size_t width : {1u, 2u, 4u}) {
+    for (const auto& batch : batches) {
+      par::ThreadPool pool(width);
+      runtime::SweepRunner runner(pool);
+      runner.cache().set_byte_budget(1);
+      const auto results = runner.run(batch);
+      ASSERT_EQ(results.size(), batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const ExperimentSpec& spec = batch[i];
+        EXPECT_EQ(runtime::wire::encode_result(results[i]),
+                  runtime::wire::encode_result(runtime::run_scheme(
+                      spec.scheme, g, spec.source, spec.options, spec.config)))
+            << "width " << width << " spec #" << i;
+      }
+      EXPECT_GT(runner.cache_stats().plan_evictions, 0u);
+    }
+  }
 }
 
 }  // namespace
